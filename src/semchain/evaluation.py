@@ -2,27 +2,21 @@
 
 Gold models number repeated class instances by convention, so a prediction is
 scored under the best bijection between its instance indices and the gold
-ones, class by class. Small search spaces are solved exactly; large ones fall
-back to a deterministic greedy hill-climb.
+ones, class by class. One depth-first branch and bound finds that bijection
+exactly at every size; its worst case is exponential only in the instances
+that semantic triples do not pin down, such as interchangeable link-only ones.
 """
 
 from __future__ import annotations
 
-import itertools
-import math
-import random
 from dataclasses import dataclass
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Mapping
 
 from . import semantic_model as sm
 
-EXACT_SEARCH_LIMIT = 1_000_000
 LABELING = "labeling"
 MODELING = "modeling"
 STEPS = (LABELING, MODELING)
-
-_InstanceKey = tuple[str, int]
-_Mapping = dict[_InstanceKey, int | None]
 
 
 @dataclass(frozen=True)
@@ -63,31 +57,141 @@ def match_triples(
 
     Returns the intersection size and the instance mapping that achieved it
     (predicted instance -> gold instance, or None when left unmatched).
+
+    The answer is exact at every size, with no size threshold: a depth-first
+    branch and bound (Land & Doig 1960) over the predicted instances that can
+    match anything, each taking a free gold index of its class or None. The
+    bound credits each open instance with the best it can still add: its
+    semantic gain, a whole link to an assigned endpoint and half a link to an
+    open one. The first descent is a greedy dive; when its score meets the
+    root bound, as under gold replay, the search ends there. The worst case is
+    exponential only in the instances that semantic triples do not pin to one
+    gold index, such as interchangeable link-only instances, whose alignment
+    by links alone is a common-subgraph problem.
+
+    Ties keep the first optimum met. The search branches on the open instance
+    with the fewest useful gold indices (ties by class, then index) and tries
+    them by descending credit, then its own index, then ascending index, with
+    None last. Instances that can match nothing map to None.
     """
-    gold_keys = frozenset(_identity_keys(gold))
-    pred_triples = _raw_triples(predicted)
-    pred_by_class = _instances_by_class(predicted)
-    gold_by_class = _instances_by_class(gold)
-    shared = [cls for cls in sorted(pred_by_class) if cls in gold_by_class]
+    gold_sems: dict[tuple, list[int]] = {}
+    for t in gold.semantic_triples:
+        gold_sems.setdefault((t.subject.class_name, t.property, t.attribute), []).append(t.subject.index)
+    gold_links: dict[tuple, list[tuple[int, int]]] = {}
+    for link in gold.internal_link_triples:
+        key = (link.subject.class_name, link.property, link.object.class_name)
+        gold_links.setdefault(key, []).append((link.subject.index, link.object.index))
 
-    raw_count = 1
-    for cls in shared:
-        p, g = len(pred_by_class[cls]), len(gold_by_class[cls])
-        n = max(p, g)
-        raw_count *= math.perm(n, p)
-    if raw_count <= EXACT_SEARCH_LIMIT:
-        score, mapping = _exact_search(shared, pred_by_class, gold_by_class, pred_triples, gold_keys)
-    else:
-        score, mapping = _greedy_search(shared, pred_by_class, gold_by_class, pred_triples, gold_keys)
+    # Search state is keyed by position in `instances`; gains[i][g] counts the
+    # semantic triples instance i matches when mapped to gold index g.
+    instances: list[sm.ClassInstance] = []
+    position: dict[sm.ClassInstance, int] = {}
+    gains: list[dict[int, int]] = []
+    adjacent: list[list[tuple]] = []
 
-    bijection: dict[sm.ClassInstance, sm.ClassInstance | None] = {}
-    for cls, indices in pred_by_class.items():
-        for index in indices:
-            target = mapping.get((cls, index))
-            bijection[sm.ClassInstance(cls, index)] = (
-                sm.ClassInstance(cls, target) if target is not None else None
-            )
-    return score, bijection
+    def slot(inst: sm.ClassInstance) -> int:
+        if inst not in position:
+            position[inst] = len(instances)
+            instances.append(inst)
+            gains.append({})
+            adjacent.append([])
+        return position[inst]
+
+    for t in predicted.semantic_triples:
+        targets = gold_sems.get((t.subject.class_name, t.property, t.attribute))
+        if targets:
+            row = gains[slot(t.subject)]
+            for g in targets:
+                row[g] = row.get(g, 0) + 1
+    # adjacent[i] holds, per matchable link, the other endpoint, i's gold
+    # indices with an allowed pair, and other's index -> i's partner indices.
+    for link in predicted.internal_link_triples:
+        pairs = gold_links.get((link.subject.class_name, link.property, link.object.class_name))
+        if not pairs:
+            continue
+        s, o = slot(link.subject), slot(link.object)
+        for a, b, oriented in ((s, o, pairs), (o, s, [(y, x) for x, y in pairs])):
+            partners: dict[int, list[int]] = {}
+            for own, other in oriented:
+                partners.setdefault(other, []).append(own)
+            adjacent[a].append((b, {own for own, _ in oriented}, partners))
+
+    # Branch ties go to the lowest (class, index).
+    order = sorted(range(len(instances)), key=instances.__getitem__)
+    # used[i]: the gold indices taken in instance i's class, shared per class.
+    taken: dict[str, set[int]] = {}
+    used = [taken.setdefault(inst.class_name, set()) for inst in instances]
+    value: dict[int, int | None] = {}
+    best = -1
+    best_value: dict[int, int | None] = {}
+
+    def credits(i: int) -> dict[int, int]:
+        # Twice the most instance i can still add per free gold index: its
+        # semantic gain, a whole link to an assigned endpoint, half a link to
+        # an unassigned one, so no link is counted twice.
+        credit = {g: 2 * n for g, n in gains[i].items()}
+        for other, own, partners in adjacent[i]:
+            if other in value:
+                for g in partners.get(value[other], ()):
+                    credit[g] = credit.get(g, 0) + 2
+            else:
+                for g in own:
+                    credit[g] = credit.get(g, 0) + 1
+        return {g: c for g, c in credit.items() if g not in used[i]}
+
+    def assign(i: int, g: int | None) -> int:
+        value[i] = g
+        if g is None:
+            return 0
+        used[i].add(g)
+        gained = gains[i].get(g, 0)
+        for other, _, partners in adjacent[i]:
+            if other in value and g in partners.get(value[other], ()):
+                gained += 1
+        return gained
+
+    def release(i: int) -> None:
+        g = value.pop(i)
+        if g is not None:
+            used[i].discard(g)
+
+    def search(matched: int) -> None:
+        nonlocal best, best_value
+        bound = 2 * matched  # doubled, like credits, so half links stay whole
+        branch, options = None, None
+        dead = []
+        for i in order:
+            if i in value:
+                continue
+            credit = credits(i)
+            if not credit:
+                # Credits only shrink deeper down: i can add nothing more.
+                dead.append(i)
+                continue
+            bound += max(credit.values())
+            if options is None or len(credit) < len(options):
+                branch, options = i, credit
+        for i in dead:
+            value[i] = None
+        if bound > 2 * best:
+            if branch is None:
+                best, best_value = matched, dict(value)
+            else:
+                own = instances[branch].index
+                for g in sorted(options, key=lambda g: (-options[g], g != own, g)) + [None]:
+                    search(matched + assign(branch, g))
+                    release(branch)
+                    if bound <= 2 * best:
+                        break
+        for i in dead:
+            del value[i]
+
+    search(0)
+    bijection: dict[sm.ClassInstance, sm.ClassInstance | None] = dict.fromkeys(predicted.instances())
+    for i, g in best_value.items():
+        if g is not None:
+            bijection[instances[i]] = sm.ClassInstance(instances[i].class_name, g)
+    return best, bijection
 
 
 def score(
@@ -143,14 +247,11 @@ def build_report(rows: Iterable[ScoreRow], mode: str = "macro") -> EvalReport:
     return EvalReport(rows, aggregates, mode)
 
 
-def bucket_by_depth(
-    rows: Iterable[ScoreRow], golds: Mapping[str, sm.SemanticModel]
-) -> dict[int, tuple[float, float]]:
-    """Mean precision/recall grouped by the depth of each source's gold model."""
+def bucket_by_depth(rows: Iterable[ScoreRow]) -> dict[int, tuple[float, float]]:
+    """Mean precision/recall grouped by the gold-model depth each row carries."""
     grouped: dict[int, list[ScoreRow]] = {}
     for row in rows:
-        gold = golds[row.source_id]
-        grouped.setdefault(sm.depth(gold), []).append(row)
+        grouped.setdefault(row.depth, []).append(row)
     return {
         d: (
             sum(r.precision for r in bucket) / len(bucket),
@@ -164,128 +265,3 @@ def bucket_by_depth(
 
 def _labels_only(model: sm.SemanticModel) -> sm.SemanticModel:
     return sm.SemanticModel(model.semantic_triples, frozenset())
-
-
-def _instances_by_class(model: sm.SemanticModel) -> dict[str, list[int]]:
-    by_class: dict[str, set[int]] = {}
-    for instance in model.instances():
-        by_class.setdefault(instance.class_name, set()).add(instance.index)
-    return {cls: sorted(indices) for cls, indices in by_class.items()}
-
-
-def _raw_triples(model: sm.SemanticModel) -> list[tuple]:
-    triples: list[tuple] = []
-    for t in sorted(model.semantic_triples):
-        triples.append(("sem", (t.subject.class_name, t.subject.index), t.property, t.attribute))
-    for link in sorted(model.internal_link_triples):
-        triples.append(
-            (
-                "link",
-                (link.subject.class_name, link.subject.index),
-                link.property,
-                (link.object.class_name, link.object.index),
-            )
-        )
-    return triples
-
-
-def _identity_keys(model: sm.SemanticModel) -> list[tuple]:
-    return _raw_triples(model)
-
-
-def _map_instance(key: _InstanceKey, mapping: _Mapping):
-    target = mapping.get(key)
-    if target is None:
-        return None
-    return (key[0], target)
-
-
-def _score_mapping(mapping: _Mapping, pred_triples: Sequence[tuple], gold_keys: frozenset) -> int:
-    count = 0
-    for triple in pred_triples:
-        kind, subject, prop = triple[0], triple[1], triple[2]
-        mapped_subject = _map_instance(subject, mapping)
-        if mapped_subject is None:
-            continue
-        if kind == "link":
-            mapped_object = _map_instance(triple[3], mapping)
-            if mapped_object is None:
-                continue
-            key = (kind, mapped_subject, prop, mapped_object)
-        else:
-            key = (kind, mapped_subject, prop, triple[3])
-        if key in gold_keys:
-            count += 1
-    return count
-
-
-def _class_assignments(pred_indices: list[int], gold_indices: list[int]) -> list[tuple]:
-    n = max(len(pred_indices), len(gold_indices))
-    padded = list(gold_indices) + [None] * (n - len(gold_indices))
-    seen = set()
-    options = []
-    for perm in itertools.permutations(padded, len(pred_indices)):
-        assignment = tuple(zip(pred_indices, perm))
-        if assignment not in seen:
-            seen.add(assignment)
-            options.append(assignment)
-    options.sort(key=lambda opt: tuple((g is None, -1 if g is None else g) for _, g in opt))
-    return options
-
-
-def _exact_search(shared, pred_by_class, gold_by_class, pred_triples, gold_keys):
-    per_class = [
-        _class_assignments(pred_by_class[cls], gold_by_class[cls]) for cls in shared
-    ]
-    best_score = -1
-    best_mapping: _Mapping = {}
-    for combo in itertools.product(*per_class):
-        mapping: _Mapping = {}
-        for cls, assignment in zip(shared, combo):
-            for p, g in assignment:
-                mapping[(cls, p)] = g
-        current = _score_mapping(mapping, pred_triples, gold_keys)
-        if current > best_score:
-            best_score = current
-            best_mapping = mapping
-    return best_score, best_mapping
-
-
-def _greedy_search(shared, pred_by_class, gold_by_class, pred_triples, gold_keys):
-    # First-improvement hill-climb from the identity mapping; move order is
-    # shuffled with a fixed seed so runs are reproducible.
-    mapping: _Mapping = {}
-    for cls in shared:
-        gold_set = set(gold_by_class[cls])
-        for p in pred_by_class[cls]:
-            mapping[(cls, p)] = p if p in gold_set else None
-    best = _score_mapping(mapping, pred_triples, gold_keys)
-    rng = random.Random(0)
-    while True:
-        moves = []
-        for cls in shared:
-            assigned = {mapping[(cls, p)] for p in pred_by_class[cls]} - {None}
-            for p in pred_by_class[cls]:
-                for g in gold_by_class[cls]:
-                    if g != mapping[(cls, p)] and g not in assigned:
-                        moves.append(("set", cls, p, g))
-                if mapping[(cls, p)] is not None:
-                    moves.append(("set", cls, p, None))
-            for p1, p2 in itertools.combinations(pred_by_class[cls], 2):
-                moves.append(("swap", cls, p1, p2))
-        rng.shuffle(moves)
-        improved = False
-        for move in moves:
-            trial = dict(mapping)
-            _, cls, a, b = move
-            if move[0] == "set":
-                trial[(cls, a)] = b
-            else:
-                trial[(cls, a)], trial[(cls, b)] = trial[(cls, b)], trial[(cls, a)]
-            current = _score_mapping(trial, pred_triples, gold_keys)
-            if current > best:
-                mapping, best = trial, current
-                improved = True
-                break
-        if not improved:
-            return best, mapping

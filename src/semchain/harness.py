@@ -267,14 +267,13 @@ def run_experiment(config: ExperimentConfig, provider: Provider | None = None) -
     (out / "system_prompt.txt").write_text(system_prompt, encoding="utf-8")
     _write_run_meta(out, config, templates, rules, split)
 
-    depths = {sid: sm.depth(golds[sid]) for sid in split.test}
     rows: list[ev.ScoreRow] = []
     results: dict[str, ChainResult | None] = {}
     errors: dict[str, str] = {}
 
     def work(sid: str):
         return sid, _run_one_source(
-            sid, tables[sid], golds[sid], depths[sid], system_prompt, config, provider, templates, ontology
+            sid, tables[sid], golds[sid], system_prompt, config, provider, templates, ontology
         )
 
     with concurrent.futures.ThreadPoolExecutor(max_workers=config.max_workers) as pool:
@@ -290,7 +289,7 @@ def run_experiment(config: ExperimentConfig, provider: Provider | None = None) -
     report = ev.build_report(rows, config.aggregate_mode)
     _write_report_csv(report, out / "report.csv")
     _write_aggregate(report, config, out / "aggregate.json")
-    _write_depth_buckets(report, {sid: golds[sid] for sid in split.test}, out / "depth_buckets.csv")
+    _write_depth_buckets(report, out / "depth_buckets.csv")
     return report
 
 
@@ -329,7 +328,6 @@ def _run_one_source(
     sid: str,
     table: Table,
     gold: sm.SemanticModel,
-    gold_depth: int,
     system_prompt: str,
     config: ExperimentConfig,
     provider: Provider,
@@ -337,7 +335,10 @@ def _run_one_source(
     ontology: onto_mod.Ontology,
 ):
     started = time.perf_counter()
+    # A gold model whose depth is undefined (cyclic) fails only this source.
+    gold_depth = 0
     try:
+        gold_depth = sm.depth(gold)
         result = run_chain(
             system_prompt,
             table,
@@ -492,9 +493,7 @@ def _write_aggregate(report: ev.EvalReport, config: ExperimentConfig, path: Path
     path.write_text(json.dumps(doc, indent=2) + "\n", encoding="utf-8")
 
 
-def _write_depth_buckets(
-    report: ev.EvalReport, golds: Mapping[str, sm.SemanticModel], path: Path
-) -> None:
+def _write_depth_buckets(report: ev.EvalReport, path: Path) -> None:
     with path.open("w", newline="", encoding="utf-8") as handle:
         writer = csv.writer(handle)
         writer.writerow(["step", "depth", "sources", "mean_precision", "mean_recall"])
@@ -502,7 +501,7 @@ def _write_depth_buckets(
             step_rows = [r for r in report.rows if r.step == step]
             if not step_rows:
                 continue
-            buckets = ev.bucket_by_depth(step_rows, golds)
+            buckets = ev.bucket_by_depth(step_rows)
             counts: dict[int, int] = {}
             for row in step_rows:
                 counts[row.depth] = counts.get(row.depth, 0) + 1

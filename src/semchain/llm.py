@@ -158,9 +158,9 @@ class RateLimiter:
 class HttpProvider:
     """OpenAI-style chat-completions client.
 
-    Transient failures (timeouts, connection errors, 429, 5xx) are retried
-    with exponential backoff up to max_retries; one shared rate limiter
-    paces all threads using this provider.
+    Transient failures (timeouts, connection and other transport errors,
+    429, 5xx) are retried with exponential backoff up to max_retries; one
+    shared rate limiter paces all threads using this provider.
     """
 
     def __init__(
@@ -204,24 +204,26 @@ class HttpProvider:
             self._limiter.acquire()
             try:
                 response = self._session.post(url, json=body, headers=headers, timeout=self.config.timeout)
+                status = response.status_code
+                if status in (401, 403):
+                    raise AuthError(f"provider rejected credentials: HTTP {status}")
+                if status == 429:
+                    failure = ("rate", response.text[:500])
+                    continue
+                if status >= 500:
+                    failure = ("server", f"HTTP {status}: {response.text[:500]}")
+                    continue
+                if not 200 <= status < 300:
+                    raise ProviderError(f"HTTP {status}: {response.text[:500]}")
+                return self._parse_response(response, system, turns, started)
             except requests.Timeout as exc:
                 failure = ("timeout", str(exc))
-                continue
             except requests.ConnectionError as exc:
                 failure = ("connection", str(exc))
-                continue
-            status = response.status_code
-            if status in (401, 403):
-                raise AuthError(f"provider rejected credentials: HTTP {status}")
-            if status == 429:
-                failure = ("rate", response.text[:500])
-                continue
-            if status >= 500:
-                failure = ("server", f"HTTP {status}: {response.text[:500]}")
-                continue
-            if not 200 <= status < 300:
-                raise ProviderError(f"HTTP {status}: {response.text[:500]}")
-            return self._parse_response(response, system, turns, started)
+            except requests.RequestException as exc:
+                # Anything else on the wire or in the body read: chunked
+                # encoding, content decoding, redirects.
+                failure = ("transport", f"{type(exc).__name__}: {exc}")
         kind, detail = failure if failure else ("unknown", "no attempt made")
         if kind == "timeout":
             raise ProviderTimeoutError(f"no reply within {self.config.timeout}s after retries: {detail}")

@@ -55,7 +55,7 @@ def random_model(
 def _index_permutation(model: SemanticModel, rng: random.Random) -> dict[ClassInstance, ClassInstance]:
     renames: dict[ClassInstance, ClassInstance] = {}
     by_class: dict[str, list[int]] = defaultdict(list)
-    for inst in model.instances():
+    for inst in sorted(model.instances()):
         by_class[inst.class_name].append(inst.index)
     for cls, indices in by_class.items():
         shuffled = indices[:]
@@ -83,21 +83,52 @@ def renamed_copy(model: SemanticModel, rng: random.Random) -> SemanticModel:
 def perturbed_copy(gold: SemanticModel, rng: random.Random) -> SemanticModel:
     """A prediction-like variant: permuted instance indices, a few triples
     dropped, and a few spurious ones added."""
+    return planted_copy(gold, rng)[0]
+
+
+def planted_copy(gold: SemanticModel, rng: random.Random) -> tuple[SemanticModel, int]:
+    """perturbed_copy() plus its planted intersection: the gold triples it
+    kept, which all match under the inverse index permutation, so no exact
+    matcher may score below it."""
     renames = _index_permutation(gold, rng)
 
     sems = set()
-    for t in gold.semantic_triples:
+    for t in sorted(gold.semantic_triples):
         if rng.random() < 0.8:
             sems.add(SemanticTriple(renames[t.subject], t.property, t.attribute))
     links = set()
-    for link in gold.internal_link_triples:
+    for link in sorted(gold.internal_link_triples):
         if rng.random() < 0.8:
             links.add(
                 InternalLinkTriple(renames[link.subject], link.property, renames[link.object])
             )
+    planted = len(sems) + len(links)
     for _ in range(rng.randint(0, 2)):
         inst = ClassInstance(rng.choice(CLASS_POOL), rng.randint(1, 3))
         sems.add(SemanticTriple(inst, rng.choice(DATA_PROPERTY_POOL), rng.choice(ATTRIBUTE_POOL)))
+    return SemanticModel(frozenset(sems), frozenset(links)), planted
+
+
+def sized_model(
+    rng: random.Random, counts: tuple[int, ...], max_sem: int = 0, max_links: int = 6
+) -> SemanticModel:
+    """A random model with exactly counts[i] instances of CLASS_POOL[i]: one
+    annotation per instance, plus up to max_sem more and up to max_links links."""
+    instances = [
+        ClassInstance(cls, index)
+        for cls, count in zip(CLASS_POOL, counts)
+        for index in range(1, count + 1)
+    ]
+
+    def annotation(inst):
+        return SemanticTriple(inst, rng.choice(DATA_PROPERTY_POOL), rng.choice(ATTRIBUTE_POOL))
+
+    sems = {annotation(inst) for inst in instances}
+    sems |= {annotation(rng.choice(instances)) for _ in range(rng.randint(0, max_sem))}
+    links = set()
+    for _ in range(rng.randint(0, max_links)):
+        a, b = rng.sample(instances, 2)
+        links.add(InternalLinkTriple(a, rng.choice(OBJECT_PROPERTY_POOL), b))
     return SemanticModel(frozenset(sems), frozenset(links))
 
 

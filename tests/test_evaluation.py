@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import random
+import time
 
 import pytest
 
@@ -17,7 +18,15 @@ from semchain import (
     score_detail,
 )
 from semchain.evaluation import LABELING, MODELING, ScoreRow
-from helpers import best_intersection_bruteforce, perturbed_copy, random_model, renamed_copy
+from helpers import (
+    CLASS_POOL,
+    best_intersection_bruteforce,
+    perturbed_copy,
+    planted_copy,
+    random_model,
+    renamed_copy,
+    sized_model,
+)
 
 
 def _model(sems=(), links=()):
@@ -105,9 +114,9 @@ class TestMatchTriples:
             renamed = renamed_copy(pred, rng)
             assert match_triples(gold, pred)[0] == match_triples(gold, renamed)[0]
 
-    def test_greedy_path_on_oversized_models(self):
-        # 10 instances of one class on both sides pushes past the exact-search
-        # budget; identity is optimal here so greedy must find the full score.
+    def test_exact_search_on_oversized_models(self):
+        # 10 instances of two classes on both sides: far past what enumerating
+        # bijections could afford. Identity is optimal, so the full score.
         sems = [_sem(f"Person{i}", "identified_by", f"attr{i}") for i in range(1, 11)]
         links = [_link(f"Person{i}", "made_by", f"Artifact{i}") for i in range(1, 11)]
         sems += [_sem(f"Artifact{i}", "has_note", f"note{i}") for i in range(1, 11)]
@@ -115,10 +124,9 @@ class TestMatchTriples:
         intersection, _ = match_triples(model, model)
         assert intersection == model.size()
 
-    def test_greedy_recovers_a_non_identity_optimum(self):
-        # Same oversized setup, but the prediction swaps indices 1 and 2
-        # everywhere; one swap move away from identity, so the hill-climb
-        # must reach the full score.
+    def test_exact_search_recovers_a_non_identity_optimum(self):
+        # 12 instances of one class, and the prediction swaps indices 1 and 2
+        # everywhere; the unique optimum undoes the swap.
         def renumber(i):
             return {1: 2, 2: 1}.get(i, i)
 
@@ -136,6 +144,51 @@ class TestMatchTriples:
         assert intersection == gold.size()
         assert bijection[ClassInstance("Person", 1)] == ClassInstance("Person", 2)
         assert bijection[ClassInstance("Person", 2)] == ClassInstance("Person", 1)
+
+    # Instances per class where enumerating every bijection (the product of
+    # per-class k!) is out of reach: from 5!^3 = 1.7e6 up to 8!^2 = 1.6e9.
+    LARGE_SIZES = ((8, 8), (7, 7), (6, 6, 6), (5, 5, 5), (8, 5), (5, 6, 7))
+
+    def test_renamed_copies_score_their_full_size(self):
+        rng = random.Random(31)
+        for counts in self.LARGE_SIZES * 3:
+            gold = sized_model(rng, counts, max_sem=6, max_links=12)
+            assert match_triples(gold, renamed_copy(gold, rng))[0] == gold.size()
+
+    def test_perturbed_copies_score_at_least_the_planted_intersection(self):
+        rng = random.Random(32)
+        for counts in self.LARGE_SIZES * 3:
+            gold = sized_model(rng, counts, max_sem=6, max_links=12)
+            pred, planted = planted_copy(gold, rng)
+            assert planted <= match_triples(gold, pred)[0] <= min(gold.size(), pred.size())
+
+    @pytest.mark.parametrize("counts", [(6,), (5, 4)])
+    def test_matches_bruteforce_at_five_or_more_instances(self, counts):
+        rng = random.Random(33)
+        gold = sized_model(rng, counts, max_links=4)
+        pred = sized_model(rng, counts, max_links=4)
+        assert match_triples(gold, pred)[0] == best_intersection_bruteforce(gold, pred)
+
+    def test_link_heavy_stress_set(self):
+        rng = random.Random(34)
+        started = time.perf_counter()
+        for _ in range(100):
+            gold = random_model(rng, 8, 4, 20, class_pool=CLASS_POOL[:3])
+            pred, planted = planted_copy(gold, rng)
+            assert match_triples(gold, pred)[0] >= planted
+            assert match_triples(gold, gold)[0] == gold.size()
+        assert time.perf_counter() - started < 10.0
+
+    def test_reported_bijection_is_deterministic(self):
+        rng = random.Random(35)
+        for counts in self.LARGE_SIZES:
+            gold = sized_model(rng, counts, max_links=12)
+            pred = perturbed_copy(gold, rng)
+            # The same triples, inserted in the opposite order.
+            again = _model(sorted(pred.semantic_triples, reverse=True),
+                           sorted(pred.internal_link_triples, reverse=True))
+            first = match_triples(gold, pred)
+            assert match_triples(gold, pred) == first == match_triples(gold, again)
 
 
 class TestScore:
@@ -221,17 +274,13 @@ class TestReports:
         expected: dict[int, list[float]] = {}
         for i, (sid, gold) in enumerate(sorted(toy_golds.items())):
             precision = 0.5 + 0.1 * (i % 3)
-            rows.append(self._row(sid, MODELING, precision, precision))
+            rows.append(self._row(sid, MODELING, precision, precision, depth_value=depth(gold)))
             expected.setdefault(depth(gold), []).append(precision)
-        buckets = bucket_by_depth(rows, toy_golds)
+        buckets = bucket_by_depth(rows)
         assert set(buckets) == set(expected)
         for d, values in expected.items():
             assert buckets[d][0] == pytest.approx(sum(values) / len(values))
 
     def test_single_bucket_when_depths_agree(self):
-        golds = {
-            "a": _model(sems=[_sem("A1", "p", "x")]),
-            "b": _model(sems=[_sem("B1", "p", "y")]),
-        }
         rows = [self._row("a", MODELING, 1.0, 1.0), self._row("b", MODELING, 0.0, 0.0)]
-        assert set(bucket_by_depth(rows, golds)) == {1}
+        assert set(bucket_by_depth(rows)) == {1}

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import csv
 import json
+import shutil
 from pathlib import Path
 
 import pytest
@@ -114,6 +115,31 @@ class TestExperiment:
         failed = [row for row in report.rows if row.source_id == "artists"]
         if failed:  # only if artists landed in the test split for this seed
             assert all(row.precision == 0.0 and row.error for row in failed)
+
+    def test_cyclic_gold_fails_only_its_source(self, toy_config, toy_dir, tmp_path):
+        gold_dir = tmp_path / "gold"
+        shutil.copytree(toy_dir / "gold", gold_dir)
+        docs = {path.stem: json.loads(path.read_text()) for path in gold_dir.glob("*.json")}
+        test = split_dataset(sorted(docs), 2023, 0.5, "half").test
+        cyclic = next(sid for sid in test if docs[sid]["internal_link_triples"])
+        doc = docs[cyclic]
+        subject, prop, obj = doc["internal_link_triples"][0]
+        doc["internal_link_triples"].append([obj, prop, subject])
+        (gold_dir / f"{cyclic}.json").write_text(json.dumps(doc))
+
+        config = toy_config(gold_dir=gold_dir, shot="half", random_state=2023)
+        report = run_experiment(config)
+        failed = [row for row in report.rows if row.error]
+        assert {row.source_id for row in failed} == {cyclic}
+        assert [row.step for row in failed] == [LABELING, MODELING]
+        assert all(row.depth == 0 and row.precision == row.recall == 0.0 for row in failed)
+        assert "CyclicModelError" in failed[0].error
+        out = Path(config.out_dir)
+        assert (out / "sources" / cyclic / "error.txt").exists()
+        assert (out / "depth_buckets.csv").exists()
+        for row in report.rows:
+            if row.source_id != cyclic:
+                assert (row.precision, row.recall) == (1.0, 1.0)
 
     def test_pruning_on_beats_pruning_off_under_injection(self, toy_config, tmp_path):
         from semchain import ChainConfig

@@ -302,6 +302,30 @@ class TestHttpProvider:
         with pytest.raises(ProviderTimeoutError):
             _provider(responses).complete("s", [])
 
+    def test_transport_errors_retry_then_exhaust_into_provider_error(self):
+        import requests
+
+        provider = _provider([requests.exceptions.ChunkedEncodingError("cut"), _ok_response()])
+        assert provider.complete("s", []).text == "hello"
+
+        responses = [requests.exceptions.ChunkedEncodingError("cut")] * 3
+        provider = _provider(responses)
+        with pytest.raises(ProviderError, match="transport") as caught:
+            provider.complete("s", [])
+        assert type(caught.value) is ProviderError
+        assert provider._session.posts == 3
+
+    def test_transport_error_while_reading_the_body_is_retried(self):
+        import requests
+
+        class _CutResponse(_FakeResponse):
+            def json(self):
+                raise requests.exceptions.ChunkedEncodingError("body cut")
+
+        provider = _provider([_CutResponse(200), _ok_response()])
+        assert provider.complete("s", []).text == "hello"
+        assert provider._session.posts == 2
+
     def test_non_2xx_fails_fast(self):
         provider = _provider([_FakeResponse(404, text="missing")])
         with pytest.raises(ProviderError):

@@ -25,6 +25,7 @@ from .evaluation import (
 from .harness import (
     ExperimentConfig,
     Split,
+    build_experiment_prompt,
     load_gold_models,
     load_tables,
     read_table,

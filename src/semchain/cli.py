@@ -11,7 +11,6 @@ from pathlib import Path
 from . import evaluation as ev
 from . import harness
 from . import ontology as onto_mod
-from . import prompting
 from . import semantic_model as sm
 from .chain import ChainConfig, run_chain
 from .errors import SemchainError
@@ -111,7 +110,7 @@ def _emit(text: str, out: Path | None) -> None:
 def _cmd_ingest(args) -> int:
     source_id = args.source_id or args.source.stem
     fmt = SourceFormat(args.format) if args.format else SourceFormat.from_suffix(args.source.suffix)
-    table = parse_source(args.source.read_bytes(), fmt, source_id)
+    table = parse_source(args.source.read_bytes(), fmt, source_id, args.cap)
     cap = args.cap if args.cap is not None else max(len(table.records), 1)
     _emit(serialize_table(table, cap).text, args.out)
     return EXIT_OK
@@ -125,29 +124,15 @@ def _cmd_serialize_ontology(args) -> int:
 
 def _cmd_build_prompt(args) -> int:
     config = _load_config(args)
-    tables = harness.load_tables(config.sources_dir)
+    tables = harness.load_tables(config.sources_dir, config.record_cap)
     golds = harness.load_gold_models(config.gold_dir)
     ontology = onto_mod.parse_ontology(config.ontology_path.read_text(encoding="utf-8"))
-    split = harness.split_dataset(sorted(tables), config.random_state, config.test_size, config.shot)
-    examples = [
-        (
-            serialize_table(tables[sid], config.record_cap),
-            sm.serialize_labels(golds[sid]),
-            sm.serialize_model(golds[sid]),
-        )
-        for sid in split.known
-    ]
-    templates = prompting.PromptTemplate.load(config.templates_dir)
-    rules = prompting.load_rules(config.rules_dir)
-    prompt = prompting.build_system_prompt(
-        onto_mod.serialize_ontology(ontology), examples, rules, templates
-    )
-    _emit(prompt, args.out)
+    _emit(harness.build_experiment_prompt(config, tables, golds, ontology).text, args.out)
     return EXIT_OK
 
 
 def _cmd_run(args) -> int:
-    table = harness.read_table(args.source)
+    table = harness.read_table(args.source, record_cap=args.record_cap)
     system_prompt = args.system_prompt.read_text(encoding="utf-8")
     ontology = None
     if args.ontology:
@@ -221,7 +206,8 @@ def _read_model_file(path: Path) -> sm.SemanticModel:
 
 def _cmd_lint_gold(args) -> int:
     model = sm.parse_model(args.model.read_text(encoding="utf-8"))
-    table = harness.read_table(args.source)
+    # Linting needs the attributes only.
+    table = harness.read_table(args.source, record_cap=1)
     report = sm.lint_gold(model, table)
     if report.ok():
         print("clean")

@@ -11,7 +11,7 @@ import math
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Mapping, Sequence
+from typing import Mapping, NamedTuple, Sequence
 
 from . import evaluation as ev
 from . import ontology as onto_mod
@@ -175,13 +175,15 @@ def _lcg_shuffle(items: Sequence[str], seed: int) -> list[str]:
 
 # --- dataset loading -----------------------------------------------------------
 
-def read_table(path: str | Path, source_id: str | None = None) -> Table:
+def read_table(path: str | Path, source_id: str | None = None, record_cap: int | None = None) -> Table:
+    """Parse one source file, keeping its first `record_cap` records (all when None)."""
     path = Path(path)
     fmt = SourceFormat.from_suffix(path.suffix)
-    return parse_source(path.read_bytes(), fmt, source_id or path.stem)
+    return parse_source(path.read_bytes(), fmt, source_id or path.stem, record_cap)
 
 
-def load_tables(sources_dir: str | Path) -> dict[str, Table]:
+def load_tables(sources_dir: str | Path, record_cap: int | None = None) -> dict[str, Table]:
+    """Parse every source file in a directory, keyed by file stem; see `read_table`."""
     sources_dir = Path(sources_dir)
     tables: dict[str, Table] = {}
     for path in sorted(sources_dir.iterdir()):
@@ -189,7 +191,7 @@ def load_tables(sources_dir: str | Path) -> dict[str, Table]:
             continue
         if path.stem in tables:
             raise ValueError(f"duplicate source id {path.stem!r} in {sources_dir}")
-        tables[path.stem] = read_table(path)
+        tables[path.stem] = read_table(path, record_cap=record_cap)
     if not tables:
         raise ValueError(f"no source files found in {sources_dir}")
     return tables
@@ -228,26 +230,28 @@ def provider_label(spec: Mapping) -> str:
 
 # --- experiment runner -----------------------------------------------------------
 
-def run_experiment(config: ExperimentConfig, provider: Provider | None = None) -> ev.EvalReport:
-    """Run the full pipeline over the test split and persist every artifact.
+class ExperimentPrompt(NamedTuple):
+    """The split, the prompt parts and the system prompt assembled from them."""
 
-    Per-source failures become zero-score rows instead of aborting the run;
-    only configuration problems raise.
-    """
-    tables = load_tables(config.sources_dir)
-    golds = load_gold_models(config.gold_dir)
+    split: Split
+    templates: prompting.PromptTemplate
+    rules: tuple[str, str]
+    text: str
+
+
+def build_experiment_prompt(
+    config: ExperimentConfig,
+    tables: Mapping[str, Table],
+    golds: Mapping[str, sm.SemanticModel],
+    ontology: onto_mod.Ontology,
+) -> ExperimentPrompt:
+    """Split the sources and assemble the system prompt from the known ones."""
     missing = sorted(set(tables) - set(golds))
     if missing:
         raise ValueError(f"sources without gold models: {missing}")
-    ontology = onto_mod.parse_ontology(config.ontology_path.read_text(encoding="utf-8"))
     templates = prompting.PromptTemplate.load(config.templates_dir)
     rules = prompting.load_rules(config.rules_dir)
-    if provider is None:
-        provider = make_provider(config.provider, golds)
-
-    source_ids = sorted(tables)
-    split = split_dataset(source_ids, config.random_state, config.test_size, config.shot)
-    onto_json = onto_mod.serialize_ontology(ontology)
+    split = split_dataset(sorted(tables), config.random_state, config.test_size, config.shot)
     examples = [
         (
             serialize_table(tables[sid], config.record_cap),
@@ -256,12 +260,28 @@ def run_experiment(config: ExperimentConfig, provider: Provider | None = None) -
         )
         for sid in split.known
     ]
-    system_prompt = prompting.build_system_prompt(onto_json, examples, rules, templates)
+    onto_json = onto_mod.serialize_ontology(ontology)
+    text = prompting.build_system_prompt(onto_json, examples, rules, templates)
+    return ExperimentPrompt(split, templates, rules, text)
+
+
+def run_experiment(config: ExperimentConfig, provider: Provider | None = None) -> ev.EvalReport:
+    """Run the full pipeline over the test split and persist every artifact.
+
+    Per-source failures become zero-score rows instead of aborting the run;
+    only configuration problems raise.
+    """
+    tables = load_tables(config.sources_dir, config.record_cap)
+    golds = load_gold_models(config.gold_dir)
+    ontology = onto_mod.parse_ontology(config.ontology_path.read_text(encoding="utf-8"))
+    split, templates, rules, system_prompt = build_experiment_prompt(config, tables, golds, ontology)
+    if provider is None:
+        provider = make_provider(config.provider, golds)
 
     out = Path(config.out_dir)
     out.mkdir(parents=True, exist_ok=True)
     (out / "split.json").write_text(
-        split.to_json(source_ids, config.random_state, config.test_size, config.shot) + "\n",
+        split.to_json(sorted(tables), config.random_state, config.test_size, config.shot) + "\n",
         encoding="utf-8",
     )
     (out / "system_prompt.txt").write_text(system_prompt, encoding="utf-8")

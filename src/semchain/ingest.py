@@ -5,10 +5,11 @@ from __future__ import annotations
 import csv
 import io
 import json
+import sys
 import xml.etree.ElementTree as ET
 from dataclasses import dataclass
 from enum import Enum
-from typing import Iterable, Mapping
+from typing import Iterable, Iterator, Mapping
 
 from .errors import EmptySourceError, FormatError
 
@@ -61,22 +62,29 @@ class SerializedTable:
     record_cap: int
 
 
-def parse_source(raw_bytes: bytes, format: SourceFormat, source_id: str) -> Table:
+def parse_source(
+    raw_bytes: bytes, format: SourceFormat, source_id: str, record_cap: int | None = None
+) -> Table:
     """Parse raw bytes in the declared format into a Table.
 
     Absent values become the `<Empty>` sentinel, nested XML/JSON fields are
     flattened to dotted attribute names, and every cell is kept as a string.
+    One pass checks every record and discovers every attribute, but only the
+    first `record_cap` records are kept (all of them when it is None).
     """
+    if record_cap is not None and record_cap < 1:
+        raise ValueError("record_cap must be >= 1")
     try:
-        text = raw_bytes.decode("utf-8")
+        text = raw_bytes.decode("utf-8-sig")
     except UnicodeDecodeError as exc:
         raise FormatError(f"{source_id}: not UTF-8: {exc}") from None
+    cap = sys.maxsize if record_cap is None else record_cap
     fmt = SourceFormat(format)
     if fmt is SourceFormat.CSV:
-        return _parse_csv(text, source_id)
+        return _parse_csv(text, source_id, cap)
     if fmt is SourceFormat.XML:
-        return _parse_xml(text, source_id)
-    return _parse_json(text, source_id)
+        return _parse_xml(text, source_id, cap)
+    return _parse_json(text, source_id, cap)
 
 
 def serialize_table(table: Table, record_cap: int = DEFAULT_RECORD_CAP) -> SerializedTable:
@@ -98,26 +106,26 @@ def canonicalize(text: str) -> str:
 
 # --- CSV --------------------------------------------------------------------
 
-def _parse_csv(text: str, source_id: str) -> Table:
-    rows = [row for row in csv.reader(io.StringIO(text)) if row]
-    if not rows:
+def _parse_csv(text: str, source_id: str, cap: int) -> Table:
+    reader = csv.reader(io.StringIO(text))
+    header = next((row for row in reader if row), None)
+    if header is None:
         raise EmptySourceError(f"{source_id}: CSV has no header row")
-    header = rows[0]
     if any(name == "" for name in header):
         raise FormatError(f"{source_id}: empty attribute name in CSV header")
+    width = len(header)
     records = []
-    for lineno, row in enumerate(rows[1:], start=2):
-        if len(row) > len(header):
-            raise FormatError(f"{source_id}: line {lineno} has more cells than the header")
-        records.append(
-            {a: (row[i] if i < len(row) and row[i] != "" else EMPTY) for i, a in enumerate(header)}
-        )
+    for row in reader:
+        if len(row) > width:
+            raise FormatError(f"{source_id}: line {reader.line_num} has more cells than the header")
+        if row and len(records) < cap:
+            records.append({a: row[i] if i < len(row) and row[i] else EMPTY for i, a in enumerate(header)})
     return Table(source_id, SourceFormat.CSV, tuple(header), tuple(records))
 
 
 # --- XML --------------------------------------------------------------------
 
-def _parse_xml(text: str, source_id: str) -> Table:
+def _parse_xml(text: str, source_id: str, cap: int) -> Table:
     try:
         root = ET.fromstring(text)
     except ET.ParseError as exc:
@@ -130,17 +138,23 @@ def _parse_xml(text: str, source_id: str) -> Table:
     # The repeated-record element is the most frequent child tag of the root;
     # ties go to the tag encountered first.
     record_tag = max(counts, key=counts.get)  # type: ignore[arg-type]
-    records = []
-    for elem in root:
-        if elem.tag != record_tag:
-            continue
-        cells: dict[str, str] = {}
-        _flatten_xml(elem, "", cells, source_id)
-        records.append(cells)
-    return _assemble(source_id, SourceFormat.XML, records)
+    return _assemble(source_id, SourceFormat.XML, _xml_records(root, record_tag, cap, source_id), cap)
 
 
-def _flatten_xml(elem: ET.Element, prefix: str, out: dict[str, str], source_id: str) -> None:
+def _xml_records(root: ET.Element, record_tag: str, cap: int, source_id: str) -> Iterator[dict]:
+    # Names and repeated elements depend only on a record's tag tree, so past
+    # the cap a record is flattened only when its tree is new.
+    shapes: set[tuple] = set()
+    for i, elem in enumerate(e for e in root if e.tag == record_tag):
+        if i >= cap:
+            shape = tuple((node.tag, len(node)) for node in elem.iter())
+            if shape in shapes:
+                continue
+            shapes.add(shape)
+        yield _flatten_xml(elem, "", {}, source_id)
+
+
+def _flatten_xml(elem: ET.Element, prefix: str, out: dict[str, str], source_id: str) -> dict[str, str]:
     for child in elem:
         name = f"{prefix}.{child.tag}" if prefix else child.tag
         if len(child):
@@ -148,23 +162,19 @@ def _flatten_xml(elem: ET.Element, prefix: str, out: dict[str, str], source_id: 
             continue
         if name in out:
             raise FormatError(f"{source_id}: repeated element <{name}> within one record")
-        value = (child.text or "").strip()
-        out[name] = value if value else EMPTY
+        out[name] = (child.text or "").strip()
+    return out
 
 
 # --- JSON -------------------------------------------------------------------
 
-def _parse_json(text: str, source_id: str) -> Table:
+def _parse_json(text: str, source_id: str, cap: int) -> Table:
     try:
         doc = json.loads(text)
     except ValueError as exc:
         raise FormatError(f"{source_id}: bad JSON: {exc}") from None
-    records = []
-    for item in _locate_records(doc, source_id):
-        cells: dict[str, str] = {}
-        _flatten_json(item, "", cells, source_id)
-        records.append(cells)
-    return _assemble(source_id, SourceFormat.JSON, records)
+    records = (_flatten_json(item, "", {}, source_id) for item in _locate_records(doc, source_id))
+    return _assemble(source_id, SourceFormat.JSON, records, cap)
 
 
 def _locate_records(doc, source_id: str) -> list[dict]:
@@ -186,7 +196,7 @@ def _locate_records(doc, source_id: str) -> list[dict]:
     raise FormatError(f"{source_id}: JSON document is neither an array nor an object")
 
 
-def _flatten_json(value: dict, prefix: str, out: dict[str, str], source_id: str) -> None:
+def _flatten_json(value: dict, prefix: str, out: dict, source_id: str) -> dict:
     for key, item in value.items():
         name = f"{prefix}.{key}" if prefix else str(key)
         if isinstance(item, dict):
@@ -194,32 +204,28 @@ def _flatten_json(value: dict, prefix: str, out: dict[str, str], source_id: str)
             continue
         if name in out:
             raise FormatError(f"{source_id}: flattened name {name!r} collides")
-        out[name] = _cell(item)
+        out[name] = item
+    return out
 
 
 def _cell(value) -> str:
-    if value is None:
+    if value is None or value == "":
         return EMPTY
-    if isinstance(value, str):
-        return value if value else EMPTY
-    if value is True:
-        return "true"
-    if value is False:
-        return "false"
-    if isinstance(value, (int, float)):
-        return json.dumps(value)
-    return json.dumps(value, ensure_ascii=False)
+    return value if isinstance(value, str) else json.dumps(value, ensure_ascii=False)
 
 
 # --- shared -----------------------------------------------------------------
 
-def _assemble(source_id: str, fmt: SourceFormat, records: Iterable[dict[str, str]]) -> Table:
-    records = list(records)
-    attributes: dict[str, None] = {}
+def _assemble(source_id: str, fmt: SourceFormat, records: Iterable[dict], cap: int) -> Table:
+    # Attributes come from every record in first-seen order (the dict is an
+    # ordered set); only the first `cap` records are kept, as strings.
+    attributes: dict = {}
+    head = []
     for record in records:
-        for key in record:
-            attributes.setdefault(key)
+        attributes.update(record)
+        if len(head) < cap:
+            head.append(record)
     if not attributes:
         raise EmptySourceError(f"{source_id}: no attributes discovered")
-    filled = [{a: record.get(a, EMPTY) for a in attributes} for record in records]
+    filled = [{a: _cell(record.get(a)) for a in attributes} for record in head]
     return Table(source_id, fmt, tuple(attributes), tuple(filled))

@@ -152,6 +152,46 @@ def test_run_single_source(toy_dir, tmp_path, capout):
     )
 
 
+def test_every_command_parses_with_its_record_cap(monkeypatch, toy_dir, tmp_path, capout):
+    from semchain import cli, harness
+
+    caps = []
+
+    def spy(parse):
+        def wrapped(raw_bytes, fmt, source_id, record_cap=None):
+            caps.append(record_cap)
+            return parse(raw_bytes, fmt, source_id, record_cap)
+
+        return wrapped
+
+    monkeypatch.setattr(harness, "parse_source", spy(harness.parse_source))
+    monkeypatch.setattr(cli, "parse_source", spy(cli.parse_source))
+    source = str(toy_dir / "sources" / "artists.csv")
+    gold = str(toy_dir / "gold" / "artists.json")
+    prompt_path = tmp_path / "system.txt"
+    config = _write_config(toy_dir, tmp_path, shot="one", record_cap=2)
+
+    assert main(["build-prompt", "--config", str(config), "--out", str(prompt_path)]) == 0
+    assert set(caps) == {2}
+    caps.clear()
+    assert main(["ingest", source, "--cap", "2"]) == 0
+    assert main(["ingest", source]) == 0
+    assert main(["lint-gold", "--model", gold, "--source", source]) == 0
+    run = ["run", "--system-prompt", str(prompt_path), "--source", source, "--mock-gold", gold]
+    assert main(run + ["--out", str(tmp_path / "run"), "--record-cap", "3"]) == 0
+    assert caps == [2, None, 1, 3]
+
+
+def test_build_prompt_is_the_experiment_system_prompt(toy_dir, tmp_path, capout):
+    config = _write_config(toy_dir, tmp_path, shot="quarter", record_cap=2)
+    prompt_path = tmp_path / "system.txt"
+    assert main(["build-prompt", "--config", str(config), "--out", str(prompt_path)]) == 0
+    assert main(["experiment", "--config", str(config)]) == 0
+    assert prompt_path.read_text(encoding="utf-8").rstrip("\n") == (
+        tmp_path / "out" / "system_prompt.txt"
+    ).read_text(encoding="utf-8").rstrip("\n")
+
+
 def test_config_errors_exit_one(tmp_path, capout):
     missing = tmp_path / "nope.json"
     assert main(["experiment", "--config", str(missing)]) == 1

@@ -22,6 +22,17 @@ from semchain.evaluation import LABELING, MODELING
 IDS_28 = [f"s{i:02d}" for i in range(28)]
 
 
+def _without_latency(path: Path):
+    """File content with the wall-clock fields removed."""
+    if path.name == "report.csv":
+        with path.open(newline="", encoding="utf-8") as handle:
+            return [{k: v for k, v in row.items() if k != "latency_ms"} for row in csv.DictReader(handle)]
+    if path.suffix == ".jsonl":
+        lines = [json.loads(line) for line in path.read_text(encoding="utf-8").splitlines()]
+        return [{k: v for k, v in line.items() if k != "latency_ms"} for line in lines]
+    return path.read_bytes()
+
+
 class TestSplits:
     def test_half_shot_on_28_sources(self):
         split = split_dataset(IDS_28, 2023, 0.5, "half")
@@ -101,6 +112,35 @@ class TestExperiment:
         a = (Path(first.out_dir) / "split.json").read_bytes()
         b = (Path(second.out_dir) / "split.json").read_bytes()
         assert a == b
+
+    @pytest.mark.parametrize("record_cap", [1, 3])
+    def test_capped_load_writes_the_same_artifacts(self, toy_config, tmp_path, monkeypatch, record_cap):
+        from semchain import harness
+
+        kept = []
+        parse_source = harness.parse_source
+
+        def spy(*args):
+            table = parse_source(*args)
+            kept.append(len(table.records))
+            return table
+
+        monkeypatch.setattr(harness, "parse_source", spy)
+        capped = toy_config(out_dir=tmp_path / "capped", record_cap=record_cap)
+        run_experiment(capped)
+        assert kept and max(kept) <= record_cap
+
+        load_tables = harness.load_tables
+        monkeypatch.setattr(harness, "load_tables", lambda directory, record_cap=None: load_tables(directory))
+        full = toy_config(out_dir=tmp_path / "full", record_cap=record_cap)
+        run_experiment(full)
+        assert max(kept) == 4  # the uncapped load kept whole 4-record sources
+
+        a, b = Path(capped.out_dir), Path(full.out_dir)
+        files = sorted(p.relative_to(a) for p in a.rglob("*") if p.is_file())
+        assert files == sorted(p.relative_to(b) for p in b.rglob("*") if p.is_file())
+        for name in files:
+            assert _without_latency(a / name) == _without_latency(b / name), name
 
     def test_failures_become_zero_rows(self, toy_config, toy_golds):
         # A script with one source missing makes that source fail while the

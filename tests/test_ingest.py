@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import csv
+import io
 import json
 import random
 import string
@@ -185,47 +187,158 @@ def test_canonicalize_idempotent_on_random_documents():
         assert json.loads(once) == doc
 
 
+def _generated_json(rng: random.Random) -> bytes:
+    records = [_random_json(rng, level=2) for _ in range(rng.randint(0, 4))]
+    records = [r if isinstance(r, dict) else {"v": r} for r in records]
+    return json.dumps(records).encode()
+
+
+def _generated_csv(rng: random.Random) -> bytes:
+    alphabet = string.ascii_letters + string.digits + " ,;\"'\n"
+    n_cols = rng.randint(1, 4)
+    buffer = io.StringIO()
+    writer = csv.writer(buffer)
+    writer.writerow([f"col{i}" for i in range(n_cols)])
+    for _ in range(rng.randint(0, 5)):
+        writer.writerow(["".join(rng.choices(alphabet, k=rng.randint(0, 10))) for _ in range(n_cols)])
+    return buffer.getvalue().encode()
+
+
+def _generated_xml(rng: random.Random) -> bytes:
+    root = ET.Element("root")
+    for _ in range(rng.randint(0, 5)):
+        row = ET.SubElement(root, "row")
+        for i in range(rng.randint(0, 4)):
+            cell = ET.SubElement(row, f"f{i}")
+            cell.text = "".join(rng.choices(string.ascii_letters + " <&>", k=rng.randint(0, 8)))
+    return ET.tostring(root)
+
+
+GENERATORS = {
+    SourceFormat.CSV: _generated_csv,
+    SourceFormat.XML: _generated_xml,
+    SourceFormat.JSON: _generated_json,
+}
+
+
 def test_parse_is_total_on_structurally_valid_inputs():
     rng = random.Random(3)
     for _ in range(60):
-        records = [_random_json(rng, level=2) for _ in range(rng.randint(0, 4))]
-        records = [r if isinstance(r, dict) else {"v": r} for r in records]
-        raw = json.dumps(records).encode()
         try:
-            parse_source(raw, SourceFormat.JSON, "fuzz")
+            parse_source(_generated_json(rng), SourceFormat.JSON, "fuzz")
         except (FormatError, EmptySourceError):
             pass
 
 
 def test_parse_is_total_on_generated_csv_and_xml():
-    import csv as csv_mod
-    import io
-
     rng = random.Random(23)
-    alphabet = string.ascii_letters + string.digits + " ,;\"'\n"
-    for _ in range(40):
-        n_cols = rng.randint(1, 4)
-        buffer = io.StringIO()
-        writer = csv_mod.writer(buffer)
-        writer.writerow([f"col{i}" for i in range(n_cols)])
-        for _ in range(rng.randint(0, 5)):
-            writer.writerow(
-                ["".join(rng.choices(alphabet, k=rng.randint(0, 10))) for _ in range(n_cols)]
-            )
-        try:
-            parse_source(buffer.getvalue().encode(), SourceFormat.CSV, "fuzz")
-        except (FormatError, EmptySourceError):
-            pass
+    for generate, fmt in ((_generated_csv, SourceFormat.CSV), (_generated_xml, SourceFormat.XML)):
+        for _ in range(40):
+            try:
+                parse_source(generate(rng), fmt, "fuzz")
+            except (FormatError, EmptySourceError):
+                pass
 
-    for _ in range(40):
-        root = ET.Element("root")
-        for _ in range(rng.randint(0, 5)):
-            row = ET.SubElement(root, "row")
-            for i in range(rng.randint(0, 4)):
-                cell = ET.SubElement(row, f"f{i}")
-                cell.text = "".join(rng.choices(string.ascii_letters + " <&>", k=rng.randint(0, 8)))
-        raw = ET.tostring(root)
-        try:
-            parse_source(raw, SourceFormat.XML, "fuzz")
-        except (FormatError, EmptySourceError):
-            pass
+
+def _outcome(raw: bytes, fmt: SourceFormat, record_cap=None):
+    try:
+        return parse_source(raw, fmt, "s", record_cap)
+    except (FormatError, EmptySourceError) as exc:
+        return type(exc)
+
+
+@pytest.mark.parametrize("fmt", list(SourceFormat))
+def test_capped_parse_is_the_head_of_the_full_parse(fmt):
+    rng = random.Random(f"capped-{fmt.value}")
+    for _ in range(80):
+        raw = GENERATORS[fmt](rng)
+        full = _outcome(raw, fmt)
+        for cap in range(1, 6):
+            capped = _outcome(raw, fmt, cap)
+            if isinstance(full, Table):
+                assert capped.attributes == full.attributes
+                assert capped.records == full.records[:cap]
+            else:
+                assert capped is full
+
+
+@pytest.mark.parametrize(
+    "fmt, raw",
+    [
+        (SourceFormat.CSV, b"a,b\n1,2\n3,4\n5,6,7\n"),
+        (SourceFormat.XML, b"<d><r><a>1</a></r><r><a>2</a></r><r><a>3</a><a>4</a></r></d>"),
+        (SourceFormat.JSON, b'[{"a": {"b": 1}}, {"a": {"b": 2}}, {"a.b": 3, "a": {"b": 4}}]'),
+        (SourceFormat.JSON, b'[{"a": 1}, {"a": 2}, 3]'),
+        (SourceFormat.JSON, b'{"rows": [{"a": 1}, {"a": 2}, 3]}'),
+        (SourceFormat.XML, b"<d><r><a>1</a></r><r><a>2</a></r><r><a>3</a></r>"),
+        (SourceFormat.CSV, b"a\n1\n2\n3\n\xff\n"),
+    ],
+    ids=["csv-wide-row", "xml-repeat", "json-collision", "json-non-object", "json-wrapped-non-object",
+         "xml-unclosed-root", "csv-bad-utf8"],
+)
+def test_defects_after_the_cap_still_raise(fmt, raw):
+    for cap in (1, 2, None):
+        with pytest.raises(FormatError):
+            parse_source(raw, fmt, "t", cap)
+
+
+@pytest.mark.parametrize(
+    "fmt, raw",
+    [
+        (SourceFormat.JSON, b'[{"a": "1"}, {"a": "2"}, {"a": "3", "b": "x"}]'),
+        (SourceFormat.XML, b"<d><r><a>1</a></r><r><a>2</a></r><r><a>3</a><b>x</b></r></d>"),
+        (SourceFormat.CSV, b"a,b\n1\n2\n3,x\n"),
+    ],
+)
+def test_attribute_first_seen_after_the_cap_is_kept_empty_in_the_head(fmt, raw):
+    table = parse_source(raw, fmt, "t", 1)
+    assert table.attributes == ("a", "b")
+    assert table.records == ({"a": "1", "b": EMPTY},)
+
+
+def test_header_only_csv_keeps_its_attributes():
+    for cap in (1, None):
+        table = parse_source(b"a,b\n", SourceFormat.CSV, "t", cap)
+        assert table.attributes == ("a", "b")
+        assert table.records == ()
+
+
+def test_xml_with_two_record_shapes_finds_both_attribute_sets():
+    # The last two records have the same tags in the same order but nest them differently.
+    raw = (
+        b"<d><r><a>1</a></r><r><a>2</a></r><r><b><c>3</c></b></r>"
+        b"<r><a>4</a></r><r><b>5</b><c>6</c></r></d>"
+    )
+    table = parse_source(raw, SourceFormat.XML, "t", 1)
+    assert table.attributes == ("a", "b.c", "b", "c")
+    assert table.records == ({"a": "1", "b.c": EMPTY, "b": EMPTY, "c": EMPTY},)
+    assert parse_source(raw, SourceFormat.XML, "t").attributes == table.attributes
+
+
+def test_record_cap_must_be_positive():
+    with pytest.raises(ValueError):
+        parse_source(b"a\n1\n", SourceFormat.CSV, "t", 0)
+
+
+@pytest.mark.parametrize(
+    "fmt, raw",
+    [
+        (SourceFormat.CSV, b"name,year\nMonet,1872\n"),
+        (SourceFormat.XML, b"<d><r><name>Monet</name><year>1872</year></r></d>"),
+        (SourceFormat.JSON, b'[{"name": "Monet", "year": 1872}]'),
+    ],
+)
+def test_utf8_byte_order_mark_is_ignored(fmt, raw):
+    plain = parse_source(raw, fmt, "t")
+    assert parse_source(b"\xef\xbb\xbf" + raw, fmt, "t") == plain
+    assert plain.attributes == ("name", "year")
+
+
+@pytest.mark.parametrize(
+    "raw",
+    [b"a,b\n\n\n1,2,3\n", b'a,b\n"x\ny",2\n1,2,3\n'],
+    ids=["blank-lines", "multi-line-cell"],
+)
+def test_csv_errors_name_the_file_line(raw):
+    with pytest.raises(FormatError, match="line 4 "):
+        parse_source(raw, SourceFormat.CSV, "t")

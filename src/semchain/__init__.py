@@ -10,7 +10,7 @@ sets, and an experiment harness drives reproducible splits and shot settings.
 __version__ = "0.1.0"
 
 from . import errors
-from .chain import ChainConfig, ChainResult, combined_prompt, run_chain
+from .chain import ChainConfig, ChainResult, run_chain
 from .evaluation import (
     LABELING,
     MODELING,
@@ -69,9 +69,7 @@ from .ontology import (
     triple_is_legal,
 )
 from .prompting import (
-    PromptBundle,
     PromptTemplate,
-    build_bundle,
     build_chain1_prompt,
     build_chain2_prompt,
     build_combined_prompt,

@@ -11,7 +11,7 @@ from . import ontology as onto_mod
 from . import prompting
 from . import semantic_model as sm
 from .errors import DanglingNameError, NoAnswerError, SchemaError, Step1ParseError
-from .ingest import DEFAULT_RECORD_CAP, SerializedTable, Table, serialize_table
+from .ingest import DEFAULT_RECORD_CAP, Table, serialize_table
 from .llm import (
     STAGE_CHAIN1,
     STAGE_CHAIN2,
@@ -38,12 +38,10 @@ class ChainResult:
     raw_model: sm.SemanticModel
     final_model: sm.SemanticModel
     transcripts: Mapping[str, ChatExchange]
-    timings_ms: Mapping[str, float]
     notes: tuple[str, ...] = ()
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "transcripts", dict(self.transcripts))
-        object.__setattr__(self, "timings_ms", dict(self.timings_ms))
 
     def total_tokens(self) -> int:
         return sum(ex.usage.total for ex in self.transcripts.values())
@@ -72,19 +70,34 @@ def run_chain(
     serialized = serialize_table(table, record_cap)
     notes: list[str] = []
     transcripts: dict[str, ChatExchange] = {}
-    timings: dict[str, float] = {}
+
+    def ask(stage: str, turns: tuple[Message, ...]) -> str:
+        started = time.perf_counter()
+        completion = provider.complete(
+            system_prompt, list(turns), tags={"source_id": table.source_id, "stage": stage}
+        )
+        transcripts[stage] = ChatExchange(
+            system=system_prompt,
+            turns=turns + (Message("assistant", completion.text),),
+            usage=completion.usage,
+            latency_ms=(time.perf_counter() - started) * 1000.0,
+        )
+        return completion.text
 
     if config.chaining_enabled:
-        labels, step1_json = _stage_chain1(
-            system_prompt, table, serialized, provider, templates, transcripts, timings, notes
-        )
-        raw_model = _stage_chain2(
-            system_prompt, table, step1_json, labels, provider, templates, transcripts, timings, notes
-        )
+        stage, prompt = STAGE_CHAIN1, prompting.build_chain1_prompt(serialized, templates)
     else:
-        labels, raw_model = _stage_combined(
-            system_prompt, table, serialized, provider, templates, transcripts, timings, notes
-        )
+        stage, prompt = STAGE_COMBINED, prompting.build_combined_prompt(serialized, templates)
+    reply = ask(stage, (Message("user", prompt),))
+    step1_json = _extract(reply, "Step1", stage)
+    labels = _parse_labels(step1_json, stage)
+    if config.chaining_enabled:
+        if not labels.semantic_triples:
+            notes.append("chain1 produced zero labels; continuing to chain2 anyway")
+        prompt = prompting.build_chain2_prompt(step1_json, templates)
+        stage = STAGE_CHAIN2
+        reply = ask(stage, transcripts[STAGE_CHAIN1].turns + (Message("user", prompt),))
+    raw_model = _parse_step2(_extract(reply, "Step2", stage), labels, notes)
 
     model = raw_model
     if config.strict_ontology_validation:
@@ -97,69 +110,10 @@ def run_chain(
         labels = sm.prune(labels, attributes)
     else:
         final_model = model
-    return ChainResult(labels, raw_model, final_model, transcripts, timings, tuple(notes))
+    return ChainResult(labels, raw_model, final_model, transcripts, tuple(notes))
 
 
-def combined_prompt(table: SerializedTable, templates: prompting.PromptTemplate | None = None) -> str:
-    """Single prompt requesting both steps in one response (ablation mode)."""
-    return prompting.build_combined_prompt(table, templates)
-
-
-# --- stages -------------------------------------------------------------------
-
-def _stage_chain1(system_prompt, table, serialized, provider, templates, transcripts, timings, notes):
-    prompt = prompting.build_chain1_prompt(serialized, templates)
-    reply, exchange, elapsed = _call(
-        provider, system_prompt, (Message("user", prompt),), table.source_id, STAGE_CHAIN1
-    )
-    transcripts[STAGE_CHAIN1] = exchange
-    timings[STAGE_CHAIN1] = elapsed
-    step1_json = _extract(reply, "Step1", STAGE_CHAIN1)
-    labels = _parse_labels(step1_json, STAGE_CHAIN1)
-    if not labels.semantic_triples:
-        notes.append("chain1 produced zero labels; continuing to chain2 anyway")
-    return labels, step1_json
-
-
-def _stage_chain2(system_prompt, table, step1_json, labels, provider, templates, transcripts, timings, notes):
-    prompt2 = prompting.build_chain2_prompt(step1_json, templates)
-    chain1_exchange = transcripts[STAGE_CHAIN1]
-    turns = chain1_exchange.turns + (Message("user", prompt2),)
-    reply, exchange, elapsed = _call(provider, system_prompt, turns, table.source_id, STAGE_CHAIN2)
-    transcripts[STAGE_CHAIN2] = exchange
-    timings[STAGE_CHAIN2] = elapsed
-    step2_json = _extract(reply, "Step2", STAGE_CHAIN2)
-    return _parse_step2(step2_json, labels, notes)
-
-
-def _stage_combined(system_prompt, table, serialized, provider, templates, transcripts, timings, notes):
-    prompt = combined_prompt(serialized, templates)
-    reply, exchange, elapsed = _call(
-        provider, system_prompt, (Message("user", prompt),), table.source_id, STAGE_COMBINED
-    )
-    transcripts[STAGE_COMBINED] = exchange
-    timings[STAGE_COMBINED] = elapsed
-    step1_json = _extract(reply, "Step1", STAGE_COMBINED)
-    labels = _parse_labels(step1_json, STAGE_COMBINED)
-    step2_json = _extract(reply, "Step2", STAGE_COMBINED)
-    raw_model = _parse_step2(step2_json, labels, notes)
-    return labels, raw_model
-
-
-def _call(provider, system_prompt, turns, source_id, stage):
-    started = time.perf_counter()
-    completion = provider.complete(
-        system_prompt, list(turns), tags={"source_id": source_id, "stage": stage}
-    )
-    elapsed_ms = (time.perf_counter() - started) * 1000.0
-    exchange = ChatExchange(
-        system=system_prompt,
-        turns=tuple(turns) + (Message("assistant", completion.text),),
-        usage=completion.usage,
-        latency_ms=elapsed_ms,
-    )
-    return completion.text, exchange, elapsed_ms
-
+# --- internals -----------------------------------------------------------------
 
 def _extract(reply: str, tag: str, stage: str) -> str:
     try:

@@ -20,7 +20,16 @@ from . import semantic_model as sm
 from .chain import ChainConfig, ChainResult, run_chain
 from .errors import SemchainError, ShotTooLargeError
 from .ingest import DEFAULT_RECORD_CAP, SourceFormat, Table, parse_source, serialize_table
-from .llm import CorruptionSpec, HttpProvider, MockProvider, MockScript, Provider, ProviderConfig
+from .llm import (
+    Completion,
+    CorruptionSpec,
+    HttpProvider,
+    Message,
+    MockProvider,
+    MockScript,
+    Provider,
+    ProviderConfig,
+)
 
 # Fisher-Yates shuffle driven by a 64-bit LCG (Knuth MMIX constants) so the
 # split is identical across platforms and language runtimes.
@@ -184,17 +193,21 @@ def read_table(path: str | Path, source_id: str | None = None, record_cap: int |
 
 def load_tables(sources_dir: str | Path, record_cap: int | None = None) -> dict[str, Table]:
     """Parse every source file in a directory, keyed by file stem; see `read_table`."""
+    return {sid: read_table(path, record_cap=record_cap) for sid, path in _source_files(sources_dir).items()}
+
+
+def _source_files(sources_dir: str | Path) -> dict[str, Path]:
     sources_dir = Path(sources_dir)
-    tables: dict[str, Table] = {}
+    paths: dict[str, Path] = {}
     for path in sorted(sources_dir.iterdir()):
         if path.suffix.lower() not in SOURCE_SUFFIXES or not path.is_file():
             continue
-        if path.stem in tables:
+        if path.stem in paths:
             raise ValueError(f"duplicate source id {path.stem!r} in {sources_dir}")
-        tables[path.stem] = read_table(path, record_cap=record_cap)
-    if not tables:
+        paths[path.stem] = path
+    if not paths:
         raise ValueError(f"no source files found in {sources_dir}")
-    return tables
+    return paths
 
 
 def load_gold_models(gold_dir: str | Path) -> dict[str, sm.SemanticModel]:
@@ -241,17 +254,24 @@ class ExperimentPrompt(NamedTuple):
 
 def build_experiment_prompt(
     config: ExperimentConfig,
-    tables: Mapping[str, Table],
+    tables: Mapping[str, Table | SemchainError],
     golds: Mapping[str, sm.SemanticModel],
     ontology: onto_mod.Ontology,
 ) -> ExperimentPrompt:
-    """Split the sources and assemble the system prompt from the known ones."""
+    """Split the sources and assemble the system prompt from the known ones.
+
+    A source that failed to parse maps to its error; the split still counts
+    it, and that error is raised if the source is a known one.
+    """
     missing = sorted(set(tables) - set(golds))
     if missing:
         raise ValueError(f"sources without gold models: {missing}")
     templates = prompting.PromptTemplate.load(config.templates_dir)
     rules = prompting.load_rules(config.rules_dir)
     split = split_dataset(sorted(tables), config.random_state, config.test_size, config.shot)
+    for sid in split.known:
+        if isinstance(tables[sid], SemchainError):
+            raise tables[sid]
     examples = [
         (
             serialize_table(tables[sid], config.record_cap),
@@ -268,10 +288,16 @@ def build_experiment_prompt(
 def run_experiment(config: ExperimentConfig, provider: Provider | None = None) -> ev.EvalReport:
     """Run the full pipeline over the test split and persist every artifact.
 
-    Per-source failures become zero-score rows instead of aborting the run;
-    only configuration problems raise.
+    Per-source failures, a test source that fails to parse included, become
+    zero-score rows instead of aborting the run; only configuration problems
+    and known sources that fail to parse raise.
     """
-    tables = load_tables(config.sources_dir, config.record_cap)
+    tables: dict[str, Table | SemchainError] = {}
+    for sid, path in _source_files(config.sources_dir).items():
+        try:
+            tables[sid] = read_table(path, record_cap=config.record_cap)
+        except SemchainError as exc:
+            tables[sid] = exc
     golds = load_gold_models(config.gold_dir)
     ontology = onto_mod.parse_ontology(config.ontology_path.read_text(encoding="utf-8"))
     split, templates, rules, system_prompt = build_experiment_prompt(config, tables, golds, ontology)
@@ -314,19 +340,31 @@ def run_experiment(config: ExperimentConfig, provider: Provider | None = None) -
 
 
 def run_ablation(config: ExperimentConfig, provider: Provider | None = None) -> list[dict]:
-    """Three configurations, same split: single prompt, chained, chained+pruned."""
+    """Three configurations, same split: single prompt, chained, chained+pruned.
+
+    The two chained configurations send the same requests, so the pruned one
+    is scored on the chained one's replies instead of asking again.
+    """
     variants = [
         ("single-prompt", ChainConfig(chaining_enabled=False, pruning_enabled=False)),
         ("chaining", ChainConfig(chaining_enabled=True, pruning_enabled=False)),
         ("chaining+prune", ChainConfig(chaining_enabled=True, pruning_enabled=True)),
     ]
+    if provider is None:
+        provider = make_provider(config.provider, load_gold_models(config.gold_dir))
+    shared = _SharedReplies(provider)
     out = Path(config.out_dir)
     rows = []
     for name, chain_config in variants:
         sub = dataclasses.replace(
             config, chain=chain_config, out_dir=out / "ablation" / name
         )
-        report = run_experiment(sub, provider)
+        report = run_experiment(sub, shared)
+        if name == "chaining+prune":
+            meta_path = sub.out_dir / "run_meta.json"
+            meta = json.loads(meta_path.read_text(encoding="utf-8"))
+            meta["replies"] = "reused from the chaining configuration, which sent the same requests"
+            meta_path.write_text(json.dumps(meta, indent=2) + "\n", encoding="utf-8")
         precision, recall = report.aggregates.get(ev.MODELING, (0.0, 0.0))
         rows.append({"configuration": name, "precision": precision, "recall": recall})
     out.mkdir(parents=True, exist_ok=True)
@@ -344,9 +382,31 @@ def run_ablation(config: ExperimentConfig, provider: Provider | None = None) -> 
     return rows
 
 
+class _SharedReplies:
+    """Provider wrapper that answers a repeated request with its first reply."""
+
+    def __init__(self, provider: Provider) -> None:
+        self._provider = provider
+        self._replies: dict[tuple, Completion] = {}
+
+    def complete(
+        self,
+        system: str,
+        turns: Sequence[Message],
+        *,
+        tags: Mapping[str, str] | None = None,
+    ) -> Completion:
+        # The tags are part of the request: a table's prompt need not name its
+        # source, and a provider may answer per source (as the mock does).
+        key = (system, tuple(turns), tuple(sorted((tags or {}).items())))
+        if key not in self._replies:
+            self._replies[key] = self._provider.complete(system, turns, tags=tags)
+        return self._replies[key]
+
+
 def _run_one_source(
     sid: str,
-    table: Table,
+    table: Table | SemchainError,
     gold: sm.SemanticModel,
     system_prompt: str,
     config: ExperimentConfig,
@@ -359,6 +419,8 @@ def _run_one_source(
     gold_depth = 0
     try:
         gold_depth = sm.depth(gold)
+        if isinstance(table, SemchainError):
+            raise table
         result = run_chain(
             system_prompt,
             table,

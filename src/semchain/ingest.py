@@ -107,20 +107,28 @@ def canonicalize(text: str) -> str:
 # --- CSV --------------------------------------------------------------------
 
 def _parse_csv(text: str, source_id: str, cap: int) -> Table:
-    reader = csv.reader(io.StringIO(text))
-    header = next((row for row in reader if row), None)
+    reader = csv.reader(io.StringIO(text, newline=""))
+    rows = _csv_rows(reader, source_id)
+    header = next((row for row in rows if row), None)
     if header is None:
         raise EmptySourceError(f"{source_id}: CSV has no header row")
     if any(name == "" for name in header):
         raise FormatError(f"{source_id}: empty attribute name in CSV header")
     width = len(header)
     records = []
-    for row in reader:
+    for row in rows:
         if len(row) > width:
             raise FormatError(f"{source_id}: line {reader.line_num} has more cells than the header")
         if row and len(records) < cap:
             records.append({a: row[i] if i < len(row) and row[i] else EMPTY for i, a in enumerate(header)})
     return Table(source_id, SourceFormat.CSV, tuple(header), tuple(records))
+
+
+def _csv_rows(reader, source_id: str) -> Iterator[list[str]]:
+    try:
+        yield from reader
+    except csv.Error as exc:
+        raise FormatError(f"{source_id}: bad CSV at line {reader.line_num}: {exc}") from None
 
 
 # --- XML --------------------------------------------------------------------

@@ -59,11 +59,10 @@ class TokenUsage:
 
 @dataclass(frozen=True)
 class Completion:
-    """One provider reply: assistant text plus usage and wall time."""
+    """One provider reply: assistant text plus usage."""
 
     text: str
     usage: TokenUsage
-    latency_ms: float
 
 
 @dataclass(frozen=True)
@@ -172,7 +171,6 @@ class HttpProvider:
     ) -> None:
         self.config = config
         self._session = session if session is not None else requests.Session()
-        self._clock = clock
         self._sleep = sleep
         self._limiter = RateLimiter(config.requests_per_minute, clock, sleep)
 
@@ -196,7 +194,6 @@ class HttpProvider:
         }
         url = self.config.base_url.rstrip("/") + "/chat/completions"
         headers = {"Authorization": f"Bearer {api_key}"}
-        started = self._clock()
         failure: tuple[str, str] | None = None
         for attempt in range(self.config.max_retries + 1):
             if attempt:
@@ -215,7 +212,7 @@ class HttpProvider:
                     continue
                 if not 200 <= status < 300:
                     raise ProviderError(f"HTTP {status}: {response.text[:500]}")
-                return self._parse_response(response, system, turns, started)
+                return self._parse_response(response, system, turns)
             except requests.Timeout as exc:
                 failure = ("timeout", str(exc))
             except requests.ConnectionError as exc:
@@ -231,7 +228,7 @@ class HttpProvider:
             raise RateLimitExhaustedError(f"still rate limited after retries: {detail}")
         raise ProviderError(f"transient {kind} failures exhausted retries: {detail}")
 
-    def _parse_response(self, response, system: str, turns: Sequence[Message], started: float) -> Completion:
+    def _parse_response(self, response, system: str, turns: Sequence[Message]) -> Completion:
         try:
             data = response.json()
             text = data["choices"][0]["message"]["content"]
@@ -243,8 +240,7 @@ class HttpProvider:
         if prompt_tokens is None or completion_tokens is None:
             prompt_tokens = naive_token_count(system) + sum(naive_token_count(t.content) for t in turns)
             completion_tokens = naive_token_count(text)
-        latency_ms = (self._clock() - started) * 1000.0
-        return Completion(text, TokenUsage(int(prompt_tokens), int(completion_tokens)), latency_ms)
+        return Completion(text, TokenUsage(int(prompt_tokens), int(completion_tokens)))
 
 
 # --- deterministic mock -------------------------------------------------------
@@ -342,7 +338,7 @@ class MockProvider:
         if corruption and corruption.active and stage in corruption.stages:
             text = _corrupt_response(text, corruption, source_id, stage)
         prompt_tokens = naive_token_count(system) + sum(naive_token_count(t.content) for t in turns)
-        return Completion(text, TokenUsage(prompt_tokens, naive_token_count(text)), 0.0)
+        return Completion(text, TokenUsage(prompt_tokens, naive_token_count(text)))
 
 
 def _corrupt_response(text: str, spec: CorruptionSpec, source_id: str, stage: str) -> str:

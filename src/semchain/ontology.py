@@ -105,9 +105,9 @@ def parse_ontology(text: str) -> Ontology:
 def serialize_ontology(onto: Ontology) -> str:
     """Deterministic ontology JSON; parse_ontology(serialize_ontology(o)) == o."""
     doc = {
-        NODES_KEY: [_chain_string(name, onto.class_parent) for name in sorted(onto.class_parent)],
+        NODES_KEY: [_chain_string(name, onto.class_ancestors(name)) for name in sorted(onto.class_parent)],
         PROPERTIES_KEY: [
-            _chain_string(name, onto.property_parent) for name in sorted(onto.property_parent)
+            _chain_string(name, onto.property_ancestors(name)) for name in sorted(onto.property_parent)
         ],
         POTENTIAL_TRIPLES_KEY: [t.as_list() for t in sorted(onto.potential_triples)],
     }
@@ -116,25 +116,11 @@ def serialize_ontology(onto: Ontology) -> str:
 
 def is_subclass_of(onto: Ontology, a: str, b: str) -> bool:
     """True iff b is a (or an ancestor of a); reflexive and transitive."""
-    _require_declared(onto.class_parent, a, "class")
-    _require_declared(onto.class_parent, b, "class")
-    current: str | None = a
-    while current is not None:
-        if current == b:
-            return True
-        current = onto.class_parent[current]
-    return False
+    return _descends(onto.class_parent, a, b, "class")
 
 
 def is_subproperty_of(onto: Ontology, a: str, b: str) -> bool:
-    _require_declared(onto.property_parent, a, "property")
-    _require_declared(onto.property_parent, b, "property")
-    current: str | None = a
-    while current is not None:
-        if current == b:
-            return True
-        current = onto.property_parent[current]
-    return False
+    return _descends(onto.property_parent, a, b, "property")
 
 
 def refinements(onto: Ontology, t: PotentialTriple) -> frozenset[PotentialTriple]:
@@ -213,13 +199,14 @@ def _ancestors(parents: Mapping[str, str | None], name: str, kind: str) -> tuple
     return tuple(chain)
 
 
-def _chain_string(name: str, parents: Mapping[str, str | None]) -> str:
-    chain = [name]
-    current = parents[name]
-    while current is not None:
-        chain.append(current)
-        current = parents[current]
-    return f" {CHAIN_SEPARATOR} ".join(chain).strip()
+def _chain_string(name: str, ancestors: tuple[str, ...]) -> str:
+    return f" {CHAIN_SEPARATOR} ".join((name, *ancestors)).strip()
+
+
+def _descends(parents: Mapping[str, str | None], a: str, b: str, kind: str) -> bool:
+    lineage = (a, *_ancestors(parents, a, kind))
+    _require_declared(parents, b, kind)
+    return b in lineage
 
 
 def _require_declared(parents: Mapping[str, str | None], name: str, kind: str) -> None:

@@ -8,7 +8,7 @@ import re
 from dataclasses import dataclass
 from importlib import resources
 from pathlib import Path
-from typing import Callable, Sequence
+from typing import Sequence
 
 from .errors import EmptyExamplesError, FormatError, Step1ParseError, TemplateError
 from .ingest import SerializedTable
@@ -51,15 +51,6 @@ class PromptTemplate:
     def load(cls, directory: str | Path | None = None) -> "PromptTemplate":
         texts = {part: _read_template(name, directory) for part, name in _TEMPLATE_FILES.items()}
         return cls(**texts)
-
-
-@dataclass(frozen=True)
-class PromptBundle:
-    """The assembled prompts for one new source."""
-
-    system_prompt: str
-    chain1_prompt: str
-    chain2_prompt_builder: Callable[[str], str]
 
 
 def load_rules(directory: str | Path | None = None) -> tuple[str, str]:
@@ -128,21 +119,6 @@ def build_combined_prompt(new_table: SerializedTable, template: PromptTemplate |
     if not new_table.text.strip():
         raise FormatError("serialized table is empty")
     return _substitute(template.combined, {"TABLE": new_table.text})
-
-
-def build_bundle(
-    onto_json: str,
-    examples: Sequence[tuple[SerializedTable, str, str]],
-    rules: tuple[str, str],
-    new_table: SerializedTable,
-    template: PromptTemplate | None = None,
-) -> PromptBundle:
-    template = template or PromptTemplate.load()
-    return PromptBundle(
-        system_prompt=build_system_prompt(onto_json, examples, rules, template),
-        chain1_prompt=build_chain1_prompt(new_table, template),
-        chain2_prompt_builder=lambda answer: build_chain2_prompt(answer, template),
-    )
 
 
 # --- internals ---------------------------------------------------------------

@@ -9,7 +9,6 @@ from semchain import (
     CorruptionSpec,
     MockProvider,
     MockScript,
-    combined_prompt,
     run_chain,
     serialize_labels,
     serialize_model,
@@ -94,10 +93,6 @@ class TestChainedRuns:
 
 
 class TestCombinedRuns:
-    def test_combined_prompt_has_both_instructions(self, toy_tables):
-        prompt = combined_prompt(serialize_table(toy_tables["artists"], 3))
-        assert "<Step1>" in prompt and "<Step2>" in prompt
-
     def test_combined_answers_parse_for_both_tags(self, toy_tables, toy_golds):
         result = run_chain(
             SYSTEM, toy_tables["artists"], ChainConfig(chaining_enabled=False), _gold_provider(toy_golds)
@@ -118,7 +113,7 @@ class _ScriptedProvider:
     def complete(self, system, turns, *, tags=None):
         text = self.replies[min(self.calls, len(self.replies) - 1)]
         self.calls += 1
-        return Completion(text, TokenUsage(naive_token_count(system), naive_token_count(text)), 0.0)
+        return Completion(text, TokenUsage(naive_token_count(system), naive_token_count(text)))
 
 
 class TestRobustness:

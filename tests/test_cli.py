@@ -112,6 +112,15 @@ def test_ingest_cap_option(toy_dir, capout):
     assert len(json.loads(capout().out)) == 2
 
 
+def test_ingest_of_a_bad_csv_prints_an_error_and_exits_one(tmp_path, capout):
+    source = tmp_path / "huge.csv"
+    source.write_text("a,b\n" + "x" * 140_000 + ",1\n", encoding="utf-8")
+    assert main(["ingest", str(source)]) == 1
+    err = capout().err
+    assert err.startswith("error: huge: bad CSV at line 2")
+    assert "Traceback" not in err
+
+
 def test_serialize_ontology_round_trip(toy_dir, tmp_path, capout):
     out_path = tmp_path / "onto.json"
     code = main(["serialize-ontology", str(toy_dir / "ontology.json"), "--out", str(out_path)])

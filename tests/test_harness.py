@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import csv
+import dataclasses
 import json
 import shutil
 from pathlib import Path
@@ -130,8 +131,8 @@ class TestExperiment:
         run_experiment(capped)
         assert kept and max(kept) <= record_cap
 
-        load_tables = harness.load_tables
-        monkeypatch.setattr(harness, "load_tables", lambda directory, record_cap=None: load_tables(directory))
+        read_table = harness.read_table
+        monkeypatch.setattr(harness, "read_table", lambda path, source_id=None, record_cap=None: read_table(path))
         full = toy_config(out_dir=tmp_path / "full", record_cap=record_cap)
         run_experiment(full)
         assert max(kept) == 4  # the uncapped load kept whole 4-record sources
@@ -180,6 +181,43 @@ class TestExperiment:
         for row in report.rows:
             if row.source_id != cyclic:
                 assert (row.precision, row.recall) == (1.0, 1.0)
+
+    def test_unparsable_test_source_fails_only_itself(self, toy_config, toy_dir, toy_golds, tmp_path):
+        from semchain import depth
+
+        sources = tmp_path / "sources"
+        shutil.copytree(toy_dir / "sources", sources)
+        split = split_dataset(sorted(p.stem for p in sources.iterdir()), 2023, 0.5, "half")
+        bad = next(sid for sid in split.test if (sources / f"{sid}.csv").exists())
+        path = sources / f"{bad}.csv"
+        path.write_text(path.read_text() + ",".join(["x"] * 50) + "\n")
+
+        config = toy_config(sources_dir=sources, shot="half", random_state=2023)
+        report = run_experiment(config)
+        out = Path(config.out_dir)
+        assert json.loads((out / "split.json").read_text())["test"] == list(split.test)
+        failed = [row for row in report.rows if row.error]
+        assert {row.source_id for row in failed} == {bad}
+        assert [row.step for row in failed] == [LABELING, MODELING]
+        assert all(row.depth == depth(toy_golds[bad]) for row in failed)
+        assert "FormatError" in failed[0].error and "more cells than the header" in failed[0].error
+        assert (out / "sources" / bad / "error.txt").exists()
+        assert not (out / "sources" / bad / "transcript.jsonl").exists()
+        for row in report.rows:
+            if row.source_id != bad:
+                assert (row.precision, row.recall) == (1.0, 1.0)
+
+    def test_unparsable_known_source_raises(self, toy_config, toy_dir, tmp_path):
+        from semchain.errors import FormatError
+
+        sources = tmp_path / "sources"
+        shutil.copytree(toy_dir / "sources", sources)
+        split = split_dataset(sorted(p.stem for p in sources.iterdir()), 2023, 0.5, "half")
+        bad = next(sid for sid in split.known if (sources / f"{sid}.csv").exists())
+        path = sources / f"{bad}.csv"
+        path.write_text(path.read_text() + ",".join(["x"] * 50) + "\n")
+        with pytest.raises(FormatError, match=bad):
+            run_experiment(toy_config(sources_dir=sources, shot="half", random_state=2023))
 
     def test_pruning_on_beats_pruning_off_under_injection(self, toy_config, tmp_path):
         from semchain import ChainConfig
@@ -251,6 +289,59 @@ class TestExperiment:
             parsed = list(csv.DictReader(handle))
         assert len(parsed) == 3
         assert parsed[0]["configuration"] == "single-prompt"
+
+    def test_ablation_asks_each_chained_request_once(self, toy_config, toy_golds, tmp_path):
+        provider = MockProvider(MockScript.from_gold(toy_golds))
+        config = toy_config(out_dir=tmp_path / "ablation-run")
+        run_ablation(config, provider)
+        split = json.loads((Path(config.out_dir) / "ablation" / "chaining" / "split.json").read_text())
+        assert len(provider.calls) == 3 * len(split["test"])
+        assert sorted(provider.calls) == sorted(
+            (sid, stage) for sid in split["test"] for stage in ("combined", "chain1", "chain2")
+        )
+
+    def test_ablation_configurations_equal_standalone_runs(self, toy_config, toy_dir, tmp_path):
+        from semchain import ChainConfig
+
+        # Two test sources with the same table send the same prompts; each
+        # must still be scored on its own reply.
+        sources = tmp_path / "sources"
+        shutil.copytree(toy_dir / "sources", sources)
+        shutil.copy(sources / "artists.csv", sources / "donations.csv")
+        split = split_dataset(sorted(p.stem for p in sources.iterdir()), 2023, 0.5, "half")
+        assert {"artists", "donations"} <= set(split.test)
+        corruption = {"inject_instances": 2, "drop_triples": 1, "seed": 7}
+        config = toy_config(
+            sources_dir=sources,
+            out_dir=tmp_path / "ablation-run",
+            provider={"kind": "mock", "corruption": corruption},
+        )
+        run_ablation(config)
+        ablation = Path(config.out_dir) / "ablation"
+        assert any(  # pruning removed something from the shared answers
+            (ablation / "chaining" / "sources" / sid / "final_model.json").read_bytes()
+            != (ablation / "chaining+prune" / "sources" / sid / "final_model.json").read_bytes()
+            for sid in split.test
+        )
+        chains = {
+            "single-prompt": ChainConfig(chaining_enabled=False, pruning_enabled=False),
+            "chaining": ChainConfig(chaining_enabled=True, pruning_enabled=False),
+            "chaining+prune": ChainConfig(chaining_enabled=True, pruning_enabled=True),
+        }
+        for name, chain in chains.items():
+            alone = dataclasses.replace(config, chain=chain, out_dir=tmp_path / "alone" / name)
+            run_experiment(alone)
+            a, b = ablation / name, Path(alone.out_dir)
+            files = sorted(p.relative_to(a) for p in a.rglob("*") if p.is_file())
+            assert files == sorted(p.relative_to(b) for p in b.rglob("*") if p.is_file())
+            for rel in files:
+                if rel.name == "run_meta.json":
+                    meta = json.loads((a / rel).read_text())
+                    assert ("replies" in meta) == (name == "chaining+prune")
+                    meta.pop("replies", None)
+                    assert meta == json.loads((b / rel).read_text())
+                else:
+                    assert _without_latency(a / rel) == _without_latency(b / rel), (name, rel)
 
     def test_config_from_file_with_relative_paths(self, toy_dir, tmp_path):
         config_path = tmp_path / "config.json"

@@ -342,3 +342,15 @@ def test_utf8_byte_order_mark_is_ignored(fmt, raw):
 def test_csv_errors_name_the_file_line(raw):
     with pytest.raises(FormatError, match="line 4 "):
         parse_source(raw, SourceFormat.CSV, "t")
+
+
+def test_csv_with_cr_only_line_endings_parses():
+    table = parse_source(b"a,b\r1,2\r", SourceFormat.CSV, "t")
+    assert table.attributes == ("a", "b")
+    assert table.records == ({"a": "1", "b": "2"},)
+
+
+def test_csv_cell_over_the_field_limit_is_a_format_error():
+    raw = b"a,b\n1,2\n" + b"x" * (csv.field_size_limit() + 1) + b",3\n"
+    with pytest.raises(FormatError, match="line 3"):
+        parse_source(raw, SourceFormat.CSV, "t")

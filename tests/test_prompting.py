@@ -6,7 +6,6 @@ import pytest
 
 from semchain import (
     PromptTemplate,
-    build_bundle,
     build_chain1_prompt,
     build_chain2_prompt,
     build_combined_prompt,
@@ -41,6 +40,7 @@ def test_one_example_yields_one_block(toy_tables, toy_golds, toy_ontology, rules
     assert prompt.count("<Table>") == prompt.count("</Table>") == 1
     assert prompt.count("<Step1>") == prompt.count("<Step2>") == 1
     assert prompt.count("<Ontology>") == prompt.count("</Ontology>") == 1
+    assert prompt.count("<Examples>") == 1
 
 
 def test_rules_appear_verbatim_in_each_block(toy_tables, toy_golds, toy_ontology, rules):
@@ -129,20 +129,6 @@ def test_combined_prompt_requests_both_steps(toy_tables):
     prompt = build_combined_prompt(serialize_table(toy_tables["artists"], 3))
     assert "<Step1>" in prompt and "<Step2>" in prompt
     assert "previous step" not in prompt.lower()
-
-
-def test_bundle_builder(toy_tables, toy_golds, toy_ontology, rules):
-    serialized = serialize_table(toy_tables["artists"], 3)
-    bundle = build_bundle(
-        serialize_ontology(toy_ontology),
-        _examples(toy_tables, toy_golds, ["donations"]),
-        rules,
-        serialized,
-    )
-    assert bundle.system_prompt.count("<Examples>") == 1
-    assert serialized.text in bundle.chain1_prompt
-    labels = serialize_labels(toy_golds["artists"])
-    assert labels in bundle.chain2_prompt_builder(labels)
 
 
 def test_template_validation(tmp_path):

@@ -23,16 +23,18 @@ from .evaluation import (
     score_detail,
 )
 from .harness import (
+    Experiment,
     ExperimentConfig,
     Split,
-    build_experiment_prompt,
     load_gold_models,
     load_tables,
+    prepare_experiment,
     read_table,
     run_ablation,
     run_experiment,
     shot_count,
     split_dataset,
+    write_source_artifacts,
 )
 from .ingest import (
     DEFAULT_RECORD_CAP,

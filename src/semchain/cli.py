@@ -123,11 +123,7 @@ def _cmd_serialize_ontology(args) -> int:
 
 
 def _cmd_build_prompt(args) -> int:
-    config = _load_config(args)
-    tables = harness.load_tables(config.sources_dir, config.record_cap)
-    golds = harness.load_gold_models(config.gold_dir)
-    ontology = onto_mod.parse_ontology(config.ontology_path.read_text(encoding="utf-8"))
-    _emit(harness.build_experiment_prompt(config, tables, golds, ontology).text, args.out)
+    _emit(harness.prepare_experiment(_load_config(args)).system_prompt, args.out)
     return EXIT_OK
 
 
@@ -150,13 +146,9 @@ def _cmd_run(args) -> int:
     result = run_chain(
         system_prompt, table, config, provider, ontology=ontology, record_cap=args.record_cap
     )
-    out = args.out
-    out.mkdir(parents=True, exist_ok=True)
-    (out / "labels.json").write_text(sm.serialize_labels(result.labels), encoding="utf-8")
-    (out / "raw_model.json").write_text(sm.serialize_model(result.raw_model), encoding="utf-8")
-    (out / "final_model.json").write_text(sm.serialize_model(result.final_model), encoding="utf-8")
+    harness.write_source_artifacts(args.out, table.source_id, result)
     print(f"{table.source_id}: {len(result.final_model.semantic_triples)} labels, "
-          f"{len(result.final_model.internal_link_triples)} links -> {out}")
+          f"{len(result.final_model.internal_link_triples)} links -> {args.out}")
     return EXIT_OK
 
 
@@ -178,6 +170,7 @@ def _cmd_experiment(args) -> int:
                     f"seed {seed} {row['configuration']}: "
                     f"precision {row['precision']:.3f} recall {row['recall']:.3f}"
                 )
+            failures = failures or any(row["has_failures"] for row in rows)
         else:
             report = harness.run_experiment(run_config)
             for step, (precision, recall) in report.aggregates.items():

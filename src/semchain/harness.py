@@ -11,7 +11,7 @@ import math
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Mapping, NamedTuple, Sequence
+from typing import Mapping, Sequence
 
 from . import evaluation as ev
 from . import ontology as onto_mod
@@ -191,9 +191,20 @@ def read_table(path: str | Path, source_id: str | None = None, record_cap: int |
     return parse_source(path.read_bytes(), fmt, source_id or path.stem, record_cap)
 
 
-def load_tables(sources_dir: str | Path, record_cap: int | None = None) -> dict[str, Table]:
-    """Parse every source file in a directory, keyed by file stem; see `read_table`."""
-    return {sid: read_table(path, record_cap=record_cap) for sid, path in _source_files(sources_dir).items()}
+def load_tables(
+    sources_dir: str | Path, record_cap: int | None = None
+) -> dict[str, Table | SemchainError]:
+    """Parse every source file in a directory, keyed by file stem; see `read_table`.
+
+    A source that fails to parse maps to its error instead of raising.
+    """
+    tables: dict[str, Table | SemchainError] = {}
+    for sid, path in _source_files(sources_dir).items():
+        try:
+            tables[sid] = read_table(path, record_cap=record_cap)
+        except SemchainError as exc:
+            tables[sid] = exc
+    return tables
 
 
 def _source_files(sources_dir: str | Path) -> dict[str, Path]:
@@ -243,26 +254,29 @@ def provider_label(spec: Mapping) -> str:
 
 # --- experiment runner -----------------------------------------------------------
 
-class ExperimentPrompt(NamedTuple):
-    """The split, the prompt parts and the system prompt assembled from them."""
+@dataclass(frozen=True)
+class Experiment:
+    """Everything an experiment reads before its first provider call."""
 
+    tables: Mapping[str, Table | SemchainError]
+    golds: Mapping[str, sm.SemanticModel]
+    ontology: onto_mod.Ontology
     split: Split
     templates: prompting.PromptTemplate
     rules: tuple[str, str]
-    text: str
+    system_prompt: str
 
 
-def build_experiment_prompt(
-    config: ExperimentConfig,
-    tables: Mapping[str, Table | SemchainError],
-    golds: Mapping[str, sm.SemanticModel],
-    ontology: onto_mod.Ontology,
-) -> ExperimentPrompt:
-    """Split the sources and assemble the system prompt from the known ones.
+def prepare_experiment(config: ExperimentConfig) -> Experiment:
+    """Load the sources, golds and ontology, split the sources and assemble
+    the system prompt from the known ones.
 
     A source that failed to parse maps to its error; the split still counts
     it, and that error is raised if the source is a known one.
     """
+    tables = load_tables(config.sources_dir, config.record_cap)
+    golds = load_gold_models(config.gold_dir)
+    ontology = onto_mod.parse_ontology(config.ontology_path.read_text(encoding="utf-8"))
     missing = sorted(set(tables) - set(golds))
     if missing:
         raise ValueError(f"sources without gold models: {missing}")
@@ -281,8 +295,8 @@ def build_experiment_prompt(
         for sid in split.known
     ]
     onto_json = onto_mod.serialize_ontology(ontology)
-    text = prompting.build_system_prompt(onto_json, examples, rules, templates)
-    return ExperimentPrompt(split, templates, rules, text)
+    system_prompt = prompting.build_system_prompt(onto_json, examples, rules, templates)
+    return Experiment(tables, golds, ontology, split, templates, rules, system_prompt)
 
 
 def run_experiment(config: ExperimentConfig, provider: Provider | None = None) -> ev.EvalReport:
@@ -290,47 +304,31 @@ def run_experiment(config: ExperimentConfig, provider: Provider | None = None) -
 
     Per-source failures, a test source that fails to parse included, become
     zero-score rows instead of aborting the run; only configuration problems
-    and known sources that fail to parse raise.
+    and known sources that fail to parse raise. Each source's artifacts are
+    written as soon as its result arrives.
     """
-    tables: dict[str, Table | SemchainError] = {}
-    for sid, path in _source_files(config.sources_dir).items():
-        try:
-            tables[sid] = read_table(path, record_cap=config.record_cap)
-        except SemchainError as exc:
-            tables[sid] = exc
-    golds = load_gold_models(config.gold_dir)
-    ontology = onto_mod.parse_ontology(config.ontology_path.read_text(encoding="utf-8"))
-    split, templates, rules, system_prompt = build_experiment_prompt(config, tables, golds, ontology)
+    experiment = prepare_experiment(config)
+    split = experiment.split
     if provider is None:
-        provider = make_provider(config.provider, golds)
+        provider = make_provider(config.provider, experiment.golds)
 
     out = Path(config.out_dir)
     out.mkdir(parents=True, exist_ok=True)
     (out / "split.json").write_text(
-        split.to_json(sorted(tables), config.random_state, config.test_size, config.shot) + "\n",
+        split.to_json(sorted(experiment.tables), config.random_state, config.test_size, config.shot) + "\n",
         encoding="utf-8",
     )
-    (out / "system_prompt.txt").write_text(system_prompt, encoding="utf-8")
-    _write_run_meta(out, config, templates, rules, split)
-
-    rows: list[ev.ScoreRow] = []
-    results: dict[str, ChainResult | None] = {}
-    errors: dict[str, str] = {}
+    (out / "system_prompt.txt").write_text(experiment.system_prompt, encoding="utf-8")
+    _write_run_meta(out, config, experiment)
 
     def work(sid: str):
-        return sid, _run_one_source(
-            sid, tables[sid], golds[sid], system_prompt, config, provider, templates, ontology
-        )
+        return _run_one_source(sid, experiment, config, provider)
 
+    rows: list[ev.ScoreRow] = []
     with concurrent.futures.ThreadPoolExecutor(max_workers=config.max_workers) as pool:
-        for sid, (source_rows, result, error) in pool.map(work, split.test):
+        for sid, (source_rows, outcome) in zip(split.test, pool.map(work, split.test)):
             rows.extend(source_rows)
-            results[sid] = result
-            if error:
-                errors[sid] = error
-
-    for sid in split.test:
-        _write_source_artifacts(out / "sources" / sid, sid, results.get(sid), errors.get(sid))
+            write_source_artifacts(out / "sources" / sid, sid, outcome)
 
     report = ev.build_report(rows, config.aggregate_mode)
     _write_report_csv(report, out / "report.csv")
@@ -343,7 +341,8 @@ def run_ablation(config: ExperimentConfig, provider: Provider | None = None) -> 
     """Three configurations, same split: single prompt, chained, chained+pruned.
 
     The two chained configurations send the same requests, so the pruned one
-    is scored on the chained one's replies instead of asking again.
+    is scored on the chained one's replies instead of asking again. Each
+    returned row also says whether its configuration had failed sources.
     """
     variants = [
         ("single-prompt", ChainConfig(chaining_enabled=False, pruning_enabled=False)),
@@ -366,7 +365,14 @@ def run_ablation(config: ExperimentConfig, provider: Provider | None = None) -> 
             meta["replies"] = "reused from the chaining configuration, which sent the same requests"
             meta_path.write_text(json.dumps(meta, indent=2) + "\n", encoding="utf-8")
         precision, recall = report.aggregates.get(ev.MODELING, (0.0, 0.0))
-        rows.append({"configuration": name, "precision": precision, "recall": recall})
+        rows.append(
+            {
+                "configuration": name,
+                "precision": precision,
+                "recall": recall,
+                "has_failures": report.has_failures(),
+            }
+        )
     out.mkdir(parents=True, exist_ok=True)
     with (out / "ablation.csv").open("w", newline="", encoding="utf-8") as handle:
         writer = csv.DictWriter(handle, fieldnames=["configuration", "precision", "recall"])
@@ -404,56 +410,39 @@ class _SharedReplies:
         return self._replies[key]
 
 
+_NO_PREDICTION = sm.SemanticModel(frozenset(), frozenset())
+
+
 def _run_one_source(
-    sid: str,
-    table: Table | SemchainError,
-    gold: sm.SemanticModel,
-    system_prompt: str,
-    config: ExperimentConfig,
-    provider: Provider,
-    templates: prompting.PromptTemplate,
-    ontology: onto_mod.Ontology,
-):
+    sid: str, experiment: Experiment, config: ExperimentConfig, provider: Provider
+) -> tuple[list[ev.ScoreRow], ChainResult | str]:
+    """Model and score one test source; a failure is scored as an empty
+    prediction and returned as its error text in place of the result."""
     started = time.perf_counter()
+    gold = experiment.golds[sid]
+    table = experiment.tables[sid]
     # A gold model whose depth is undefined (cyclic) fails only this source.
     gold_depth = 0
     try:
         gold_depth = sm.depth(gold)
         if isinstance(table, SemchainError):
             raise table
-        result = run_chain(
-            system_prompt,
+        outcome = run_chain(
+            experiment.system_prompt,
             table,
             config.chain,
             provider,
-            templates=templates,
-            ontology=ontology,
+            templates=experiment.templates,
+            ontology=experiment.ontology,
             record_cap=config.record_cap,
         )
+        predictions, tokens, error = (outcome.labels, outcome.final_model), outcome.total_tokens(), ""
     except SemchainError as exc:
-        wall_ms = (time.perf_counter() - started) * 1000.0
-        error = f"{type(exc).__name__}: {exc}"
-        rows = [
-            ev.ScoreRow(
-                source_id=sid,
-                step=step,
-                precision=0.0,
-                recall=0.0,
-                gold_size=len(gold.semantic_triples) if step == ev.LABELING else gold.size(),
-                predicted_size=0,
-                intersection=0,
-                depth=gold_depth,
-                latency_ms=wall_ms,
-                tokens=0,
-                error=error,
-            )
-            for step in ev.STEPS
-        ]
-        return rows, None, error
+        outcome = error = f"{type(exc).__name__}: {exc}"
+        predictions, tokens = (_NO_PREDICTION, _NO_PREDICTION), 0
     wall_ms = (time.perf_counter() - started) * 1000.0
-    tokens = result.total_tokens()
     rows = []
-    for step, predicted in ((ev.LABELING, result.labels), (ev.MODELING, result.final_model)):
+    for step, predicted in zip(ev.STEPS, predictions):
         precision, recall, intersection, gold_size, predicted_size = ev.score_detail(
             gold, predicted, step
         )
@@ -469,15 +458,15 @@ def _run_one_source(
                 depth=gold_depth,
                 latency_ms=wall_ms,
                 tokens=tokens,
-                error="",
+                error=error,
             )
         )
-    return rows, result, None
+    return rows, outcome
 
 
 # --- persistence -----------------------------------------------------------------
 
-def _write_run_meta(out: Path, config: ExperimentConfig, templates, rules, split: Split) -> None:
+def _write_run_meta(out: Path, config: ExperimentConfig, experiment: Experiment) -> None:
     from . import __version__
 
     meta = {
@@ -491,24 +480,25 @@ def _write_run_meta(out: Path, config: ExperimentConfig, templates, rules, split
         "provider": {k: v for k, v in dict(config.provider).items() if "key" not in k},
         "chain": dataclasses.asdict(config.chain),
         "aggregate_mode": config.aggregate_mode,
-        "known_sources": list(split.known),
+        "known_sources": list(experiment.split.known),
         "example_order": "system-prompt examples follow split order",
         "depth_definition": "longest directed path, in edges, ending at an attribute",
         "instance_matching": "exact triple match under the best per-class instance-index bijection",
         "template_sha256": {
-            part: hashlib.sha256(getattr(templates, part).encode("utf-8")).hexdigest()
+            part: hashlib.sha256(getattr(experiment.templates, part).encode("utf-8")).hexdigest()
             for part in ("system", "example", "chain1", "chain2", "combined")
         },
-        "rules_sha256": [hashlib.sha256(r.encode("utf-8")).hexdigest() for r in rules],
+        "rules_sha256": [hashlib.sha256(r.encode("utf-8")).hexdigest() for r in experiment.rules],
     }
     (out / "run_meta.json").write_text(json.dumps(meta, indent=2) + "\n", encoding="utf-8")
 
 
-def _write_source_artifacts(directory: Path, sid: str, result: ChainResult | None, error: str | None) -> None:
+def write_source_artifacts(directory: Path, sid: str, result: ChainResult | str) -> None:
+    """Write one source's labels, models, transcript and notes, or, when
+    `result` is a failed source's error text, its `error.txt`."""
     directory.mkdir(parents=True, exist_ok=True)
-    if error:
-        (directory / "error.txt").write_text(error + "\n", encoding="utf-8")
-    if result is None:
+    if isinstance(result, str):
+        (directory / "error.txt").write_text(result + "\n", encoding="utf-8")
         return
     (directory / "labels.json").write_text(sm.serialize_labels(result.labels) + "\n", encoding="utf-8")
     (directory / "raw_model.json").write_text(sm.serialize_model(result.raw_model) + "\n", encoding="utf-8")

@@ -80,11 +80,15 @@ def parse_source(
         raise FormatError(f"{source_id}: not UTF-8: {exc}") from None
     cap = sys.maxsize if record_cap is None else record_cap
     fmt = SourceFormat(format)
-    if fmt is SourceFormat.CSV:
-        return _parse_csv(text, source_id, cap)
-    if fmt is SourceFormat.XML:
-        return _parse_xml(text, source_id, cap)
-    return _parse_json(text, source_id, cap)
+    # JSON decoding and the flattening of nested fields recurse once per level.
+    try:
+        if fmt is SourceFormat.CSV:
+            return _parse_csv(text, source_id, cap)
+        if fmt is SourceFormat.XML:
+            return _parse_xml(text, source_id, cap)
+        return _parse_json(text, source_id, cap)
+    except RecursionError:
+        raise FormatError(f"{source_id}: nested too deeply to parse") from None
 
 
 def serialize_table(table: Table, record_cap: int = DEFAULT_RECORD_CAP) -> SerializedTable:

@@ -194,7 +194,6 @@ class HttpProvider:
         }
         url = self.config.base_url.rstrip("/") + "/chat/completions"
         headers = {"Authorization": f"Bearer {api_key}"}
-        failure: tuple[str, str] | None = None
         for attempt in range(self.config.max_retries + 1):
             if attempt:
                 self._sleep(min(2.0 ** (attempt - 1), 30.0))
@@ -205,28 +204,28 @@ class HttpProvider:
                 if status in (401, 403):
                     raise AuthError(f"provider rejected credentials: HTTP {status}")
                 if status == 429:
-                    failure = ("rate", response.text[:500])
+                    error = RateLimitExhaustedError(f"still rate limited after retries: {response.text[:500]}")
                     continue
                 if status >= 500:
-                    failure = ("server", f"HTTP {status}: {response.text[:500]}")
+                    error = ProviderError(
+                        f"transient server failures exhausted retries: HTTP {status}: {response.text[:500]}"
+                    )
                     continue
                 if not 200 <= status < 300:
                     raise ProviderError(f"HTTP {status}: {response.text[:500]}")
                 return self._parse_response(response, system, turns)
             except requests.Timeout as exc:
-                failure = ("timeout", str(exc))
+                error = ProviderTimeoutError(f"no reply within {self.config.timeout}s after retries: {exc}")
             except requests.ConnectionError as exc:
-                failure = ("connection", str(exc))
+                error = ProviderError(f"transient connection failures exhausted retries: {exc}")
             except requests.RequestException as exc:
                 # Anything else on the wire or in the body read: chunked
                 # encoding, content decoding, redirects.
-                failure = ("transport", f"{type(exc).__name__}: {exc}")
-        kind, detail = failure if failure else ("unknown", "no attempt made")
-        if kind == "timeout":
-            raise ProviderTimeoutError(f"no reply within {self.config.timeout}s after retries: {detail}")
-        if kind == "rate":
-            raise RateLimitExhaustedError(f"still rate limited after retries: {detail}")
-        raise ProviderError(f"transient {kind} failures exhausted retries: {detail}")
+                error = ProviderError(
+                    f"transient transport failures exhausted retries: {type(exc).__name__}: {exc}"
+                )
+        # max_retries >= 0, so at least one attempt set `error`.
+        raise error
 
     def _parse_response(self, response, system: str, turns: Sequence[Message]) -> Completion:
         try:

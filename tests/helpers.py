@@ -257,3 +257,11 @@ def transitive_ancestors_bruteforce(parent: dict[str, str | None], name: str) ->
         out.add(current)
         current = parent[current]
     return out
+
+
+# Sources nested past the interpreter's recursion limit, keyed by file name.
+DEEPLY_NESTED = {
+    "arrays.json": b"[" * 100_000 + b"]" * 100_000,
+    "objects.json": b'[{"a": ' + b'{"a": ' * 3000 + b"1" + b"}" * 3000 + b"}]",
+    "elements.xml": b"<root><r>" + b"<e>" * 5000 + b"x" + b"</e>" * 5000 + b"</r></root>",
+}

@@ -1,11 +1,15 @@
 from __future__ import annotations
 
 import json
+import shutil
 from pathlib import Path
 
 import pytest
 
+from semchain import split_dataset
 from semchain.cli import main
+
+from helpers import DEEPLY_NESTED
 
 
 @pytest.fixture
@@ -29,6 +33,24 @@ def _write_config(toy_dir: Path, tmp_path: Path, **extra) -> Path:
     path = tmp_path / "config.json"
     path.write_text(json.dumps(config), encoding="utf-8")
     return path
+
+
+def _broken_sources(toy_dir: Path, tmp_path: Path) -> Path:
+    """A copy of the toy sources whose artists.csv, a test source at seed
+    2023 and shot half, has a row wider than its header."""
+    sources = tmp_path / "sources"
+    shutil.copytree(toy_dir / "sources", sources)
+    assert "artists" in split_dataset(sorted(p.stem for p in sources.iterdir()), 2023, 0.5, "half").test
+    path = sources / "artists.csv"
+    path.write_text(path.read_text() + ",".join(["x"] * 50) + "\n")
+    return sources
+
+
+def _transcript_without_latency(path: Path):
+    return [
+        {k: v for k, v in json.loads(line).items() if k != "latency_ms"}
+        for line in path.read_text(encoding="utf-8").splitlines()
+    ]
 
 
 def test_eval_identical_files_prints_perfect_scores(toy_dir, capout):
@@ -66,6 +88,13 @@ def test_experiment_ablation_prints_three_rows(toy_dir, tmp_path, capout):
     for name in ("single-prompt", "chaining", "chaining+prune"):
         assert name in out
     assert (tmp_path / "out" / "ablation.csv").exists()
+
+
+def test_experiment_ablation_exits_two_when_sources_fail(toy_dir, tmp_path, capout):
+    config = _write_config(toy_dir, tmp_path, sources_dir=str(_broken_sources(toy_dir, tmp_path)))
+    assert main(["experiment", "--config", str(config), "--ablation"]) == 2
+    with (tmp_path / "out" / "ablation.csv").open(encoding="utf-8") as handle:
+        assert handle.readline().strip() == "configuration,precision,recall"
 
 
 def test_lint_gold_reports_dangling_leaf(toy_dir, tmp_path, capout):
@@ -121,6 +150,15 @@ def test_ingest_of_a_bad_csv_prints_an_error_and_exits_one(tmp_path, capout):
     assert "Traceback" not in err
 
 
+def test_ingest_of_a_deeply_nested_source_prints_an_error_and_exits_one(tmp_path, capout):
+    source = tmp_path / "elements.xml"
+    source.write_bytes(DEEPLY_NESTED["elements.xml"])
+    assert main(["ingest", str(source)]) == 1
+    err = capout().err
+    assert err.startswith("error: elements: nested too deeply")
+    assert "Traceback" not in err
+
+
 def test_serialize_ontology_round_trip(toy_dir, tmp_path, capout):
     out_path = tmp_path / "onto.json"
     code = main(["serialize-ontology", str(toy_dir / "ontology.json"), "--out", str(out_path)])
@@ -161,6 +199,33 @@ def test_run_single_source(toy_dir, tmp_path, capout):
     )
 
 
+def test_run_writes_the_experiment_source_files(toy_dir, tmp_path, capout):
+    config = _write_config(toy_dir, tmp_path)
+    assert main(["experiment", "--config", str(config)]) == 0
+    experiment = tmp_path / "out"
+    test = json.loads((experiment / "split.json").read_text())["test"]
+    sources = {path.stem: path for path in (toy_dir / "sources").iterdir()}
+    for sid in test:
+        out_dir = tmp_path / "single" / sid
+        code = main(
+            [
+                "run",
+                "--system-prompt", str(experiment / "system_prompt.txt"),
+                "--source", str(sources[sid]),
+                "--mock-gold", str(toy_dir / "gold" / f"{sid}.json"),
+                "--out", str(out_dir),
+            ]
+        )
+        assert code == 0
+        expected = experiment / "sources" / sid
+        assert sorted(p.name for p in out_dir.iterdir()) == sorted(p.name for p in expected.iterdir())
+        for name in ("labels.json", "raw_model.json", "final_model.json"):
+            assert (out_dir / name).read_bytes() == (expected / name).read_bytes(), (sid, name)
+        assert _transcript_without_latency(out_dir / "transcript.jsonl") == _transcript_without_latency(
+            expected / "transcript.jsonl"
+        )
+
+
 def test_every_command_parses_with_its_record_cap(monkeypatch, toy_dir, tmp_path, capout):
     from semchain import cli, harness
 
@@ -199,6 +264,14 @@ def test_build_prompt_is_the_experiment_system_prompt(toy_dir, tmp_path, capout)
     assert prompt_path.read_text(encoding="utf-8").rstrip("\n") == (
         tmp_path / "out" / "system_prompt.txt"
     ).read_text(encoding="utf-8").rstrip("\n")
+
+
+def test_build_prompt_works_when_a_test_source_fails_to_parse(toy_dir, tmp_path, capout):
+    config = _write_config(toy_dir, tmp_path, sources_dir=str(_broken_sources(toy_dir, tmp_path)))
+    assert main(["experiment", "--config", str(config)]) == 2
+    capout()
+    assert main(["build-prompt", "--config", str(config)]) == 0
+    assert capout().out == (tmp_path / "out" / "system_prompt.txt").read_text(encoding="utf-8") + "\n"
 
 
 def test_config_errors_exit_one(tmp_path, capout):

@@ -12,13 +12,17 @@ from semchain import (
     ExperimentConfig,
     MockProvider,
     MockScript,
+    Table,
+    load_tables,
     run_ablation,
     run_experiment,
     shot_count,
     split_dataset,
 )
-from semchain.errors import ShotTooLargeError
+from semchain.errors import FormatError, ShotTooLargeError
 from semchain.evaluation import LABELING, MODELING
+
+from helpers import DEEPLY_NESTED
 
 IDS_28 = [f"s{i:02d}" for i in range(28)]
 
@@ -206,6 +210,32 @@ class TestExperiment:
         for row in report.rows:
             if row.source_id != bad:
                 assert (row.precision, row.recall) == (1.0, 1.0)
+
+    def test_deeply_nested_test_source_fails_only_itself(self, toy_config, toy_dir, tmp_path):
+        sources = tmp_path / "sources"
+        shutil.copytree(toy_dir / "sources", sources)
+        split = split_dataset(sorted(p.stem for p in sources.iterdir()), 2023, 0.5, "half")
+        bad = next(sid for sid in split.test if (sources / f"{sid}.json").exists())
+        (sources / f"{bad}.json").write_bytes(DEEPLY_NESTED["objects.json"])
+
+        report = run_experiment(toy_config(sources_dir=sources, shot="half", random_state=2023))
+        failed = [row for row in report.rows if row.error]
+        assert {row.source_id for row in failed} == {bad}
+        assert "FormatError" in failed[0].error and "nested too deeply" in failed[0].error
+        for row in report.rows:
+            if row.source_id != bad:
+                assert (row.precision, row.recall) == (1.0, 1.0)
+
+    def test_load_tables_maps_a_bad_file_to_its_error(self, toy_dir, tmp_path):
+        sources = tmp_path / "sources"
+        shutil.copytree(toy_dir / "sources", sources)
+        path = sources / "artists.csv"
+        path.write_text(path.read_text() + ",".join(["x"] * 50) + "\n")
+        tables = load_tables(sources)
+        assert sorted(tables) == sorted(p.stem for p in sources.iterdir())
+        assert isinstance(tables["artists"], FormatError)
+        assert "more cells than the header" in str(tables["artists"])
+        assert all(isinstance(table, Table) for sid, table in tables.items() if sid != "artists")
 
     def test_unparsable_known_source_raises(self, toy_config, toy_dir, tmp_path):
         from semchain.errors import FormatError

@@ -19,6 +19,8 @@ from semchain import (
 )
 from semchain.errors import EmptySourceError, FormatError
 
+from helpers import DEEPLY_NESTED
+
 
 def test_parse_csv_missing_cell_becomes_sentinel():
     table = parse_source(b"name,year\nMonet,1872\nDegas,", SourceFormat.CSV, "t")
@@ -354,3 +356,10 @@ def test_csv_cell_over_the_field_limit_is_a_format_error():
     raw = b"a,b\n1,2\n" + b"x" * (csv.field_size_limit() + 1) + b",3\n"
     with pytest.raises(FormatError, match="line 3"):
         parse_source(raw, SourceFormat.CSV, "t")
+
+
+@pytest.mark.parametrize("name", sorted(DEEPLY_NESTED))
+def test_deep_nesting_is_a_format_error(name):
+    fmt = SourceFormat.from_suffix(name.rsplit(".", 1)[1])
+    with pytest.raises(FormatError, match="deep_source: nested too deeply"):
+        parse_source(DEEPLY_NESTED[name], fmt, "deep_source")

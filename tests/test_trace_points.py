@@ -31,3 +31,30 @@ def test_every_benchmark_trace_point_exists_and_is_restored():
     finally:
         tracer.restore()
     assert (harness.run_chain, harness.parse_source, chain.serialize_table, chain.extract_tagged_json) == originals
+
+
+def test_ablation_enters_run_experiment_once_per_configuration(monkeypatch, toy_config):
+    # perfbench starts its set-up clock on each entry to harness.run_experiment.
+    inner = harness.run_experiment
+    entries = []
+
+    def counted(*args, **kwargs):
+        entries.append(args[0].out_dir.name)
+        return inner(*args, **kwargs)
+
+    monkeypatch.setattr(harness, "run_experiment", counted)
+    harness.run_ablation(toy_config())
+    assert entries == ["single-prompt", "chaining", "chaining+prune"]
+
+
+def test_prepare_experiment_parses_through_the_harness_trace_point(monkeypatch, toy_config, toy_dir):
+    inner = harness.parse_source
+    parsed = []
+
+    def counted(raw_bytes, fmt, source_id, record_cap=None):
+        parsed.append(source_id)
+        return inner(raw_bytes, fmt, source_id, record_cap)
+
+    monkeypatch.setattr(harness, "parse_source", counted)
+    harness.prepare_experiment(toy_config())
+    assert sorted(parsed) == sorted(p.stem for p in (toy_dir / "sources").iterdir())

@@ -42,7 +42,6 @@ from .ingest import (
     SerializedTable,
     SourceFormat,
     Table,
-    canonicalize,
     parse_source,
     serialize_table,
 )

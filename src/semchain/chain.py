@@ -10,7 +10,7 @@ from typing import Mapping
 from . import ontology as onto_mod
 from . import prompting
 from . import semantic_model as sm
-from .errors import DanglingNameError, NoAnswerError, SchemaError, Step1ParseError
+from .errors import DanglingNameError, NoAnswerError, SchemaError, Step1ParseError, decode_json
 from .ingest import DEFAULT_RECORD_CAP, Table, serialize_table
 from .llm import (
     STAGE_CHAIN1,
@@ -130,13 +130,12 @@ def _parse_labels(step1_json: str, stage: str) -> sm.SemanticModel:
 
 
 def _parse_step2(step2_json: str, labels: sm.SemanticModel, notes: list[str]) -> sm.SemanticModel:
-    doc = json.loads(step2_json)
+    doc = decode_json(step2_json, "Step2 answer")
     if not isinstance(doc, dict):
         raise SchemaError("Step2 answer is not a JSON object")
     if sm.SEMANTIC_TRIPLES_KEY not in doc:
         # The graph answer is authoritative, but labeling evaluation needs the
         # label triples present, so fall back to the chain1 labels.
-        doc = dict(doc)
         doc[sm.SEMANTIC_TRIPLES_KEY] = [t.as_list() for t in sorted(labels.semantic_triples)]
         notes.append("chain2 omitted semantic_triples; merged chain1 labels")
     return sm.parse_model(json.dumps(doc))

@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
-import json
 import sys
 from pathlib import Path
 
@@ -54,7 +53,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("run", help="run one source through the chain")
     p.add_argument("--system-prompt", type=Path, required=True)
     p.add_argument("--source", type=Path, required=True)
-    p.add_argument("--mock-gold", type=Path, help="gold model the mock provider replays")
+    p.add_argument("--mock-gold", type=Path, required=True, help="gold model the mock provider replays")
     p.add_argument("--ontology", type=Path)
     p.add_argument("--out", type=Path, required=True)
     p.add_argument("--record-cap", type=int, default=3)
@@ -94,7 +93,7 @@ def main(argv=None) -> int:
     }[args.command]
     try:
         return handler(args)
-    except (SemchainError, ValueError, OSError, json.JSONDecodeError) as exc:
+    except (SemchainError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG_ERROR
 
@@ -133,9 +132,6 @@ def _cmd_run(args) -> int:
     ontology = None
     if args.ontology:
         ontology = onto_mod.parse_ontology(args.ontology.read_text(encoding="utf-8"))
-    if not args.mock_gold:
-        print("error: only the mock provider is wired into `run`; pass --mock-gold", file=sys.stderr)
-        return EXIT_CONFIG_ERROR
     gold = sm.parse_model(args.mock_gold.read_text(encoding="utf-8"))
     provider = MockProvider(MockScript.from_gold({table.source_id: gold}))
     config = ChainConfig(

@@ -1,4 +1,6 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the decoder of outside JSON."""
+
+import json
 
 
 class SemchainError(Exception):
@@ -13,6 +15,16 @@ class FormatError(SemchainError):
 
 class EmptySourceError(SemchainError):
     """A source yielded zero attributes."""
+
+
+def decode_json(text: str, what: str):
+    """Decode JSON from outside the program; any failure is a FormatError naming `what`."""
+    try:
+        return json.loads(text)
+    except ValueError as exc:
+        raise FormatError(f"{what}: not JSON: {exc}") from None
+    except RecursionError:
+        raise FormatError(f"{what}: nested too deeply to parse") from None
 
 
 # --- ontology -------------------------------------------------------------

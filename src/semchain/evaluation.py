@@ -66,13 +66,14 @@ def match_triples(
     open one. The first descent is a greedy dive; when its score meets the
     root bound, as under gold replay, the search ends there. The worst case is
     exponential only in the instances that semantic triples do not pin to one
-    gold index, such as interchangeable link-only instances, whose alignment
-    by links alone is a common-subgraph problem.
+    gold index, such as link-only instances in a noisy prediction, whose
+    alignment by links alone is a common-subgraph problem.
 
     Ties keep the first optimum met. The search branches on the open instance
-    with the fewest useful gold indices (ties by class, then index) and tries
-    them by descending credit, then its own index, then ascending index, with
-    None last. Instances that can match nothing map to None.
+    with the fewest gold indices at its top credit, then the fewest useful
+    ones (ties by class, then index), and tries them by descending credit,
+    then its own index, then ascending index, with None last. Instances that
+    can match nothing map to None.
     """
     gold_sems: dict[tuple, list[int]] = {}
     for t in gold.semantic_triples:
@@ -158,7 +159,7 @@ def match_triples(
     def search(matched: int) -> None:
         nonlocal best, best_value
         bound = 2 * matched  # doubled, like credits, so half links stay whole
-        branch, options = None, None
+        branch, options, rank = None, None, None
         dead = []
         for i in order:
             if i in value:
@@ -168,9 +169,13 @@ def match_triples(
                 # Credits only shrink deeper down: i can add nothing more.
                 dead.append(i)
                 continue
-            bound += max(credit.values())
-            if options is None or len(credit) < len(options):
-                branch, options = i, credit
+            top = max(credit.values())
+            bound += top
+            # A link-only instance whose neighbours are all open ties over
+            # every index, so it waits until an assigned neighbour picks one.
+            key = (sum(c == top for c in credit.values()), len(credit))
+            if rank is None or key < rank:
+                branch, options, rank = i, credit, key
         for i in dead:
             value[i] = None
         if bound > 2 * best:

@@ -18,7 +18,7 @@ from . import ontology as onto_mod
 from . import prompting
 from . import semantic_model as sm
 from .chain import ChainConfig, ChainResult, run_chain
-from .errors import SemchainError, ShotTooLargeError
+from .errors import SemchainError, ShotTooLargeError, decode_json
 from .ingest import DEFAULT_RECORD_CAP, SourceFormat, Table, parse_source, serialize_table
 from .llm import (
     Completion,
@@ -42,6 +42,10 @@ PRNG_DESCRIPTION = (
 
 SHOT_SETTINGS = ("one", "quarter", "half")
 SOURCE_SUFFIXES = (".csv", ".xml", ".json")
+# Every file write_source_artifacts writes; a rerun deletes no other file.
+_SOURCE_FILES = (
+    "labels.json", "raw_model.json", "final_model.json", "transcript.jsonl", "notes.txt", "error.txt",
+)
 
 
 @dataclass(frozen=True)
@@ -101,28 +105,26 @@ class ExperimentConfig:
 
     @classmethod
     def from_file(cls, path: str | Path) -> "ExperimentConfig":
-        raw = json.loads(Path(path).read_text(encoding="utf-8"))
-        if not isinstance(raw, dict):
-            raise ValueError("config file must hold a JSON object")
-        known_fields = {f.name for f in dataclasses.fields(cls)}
-        unknown = set(raw) - known_fields
-        if unknown:
-            raise ValueError(f"unknown config key(s): {sorted(unknown)}")
-        required = {"sources_dir", "ontology_path", "gold_dir", "out_dir"}
-        missing = required - set(raw)
-        if missing:
-            raise ValueError(f"config misses required key(s): {sorted(missing)}")
-        if "chain" in raw:
-            raw = dict(raw)
-            raw["chain"] = ChainConfig(**raw["chain"])
-        base = Path(path).parent
-        config = cls(**raw)
+        raw = decode_json(Path(path).read_text(encoding="utf-8"), "config")
+        if isinstance(raw, dict) and "chain" in raw:
+            raw = {**raw, "chain": _from_mapping(ChainConfig, raw["chain"], "config chain")}
+        config = _from_mapping(cls, raw, "config")
         # Relative paths in the file resolve against the file's directory.
         for name in ("sources_dir", "ontology_path", "gold_dir", "out_dir", "templates_dir", "rules_dir"):
             value = getattr(config, name)
             if value is not None and not value.is_absolute():
-                setattr(config, name, base / value)
+                setattr(config, name, Path(path).parent / value)
         return config
+
+
+def _from_mapping(cls, raw, what: str):
+    """Build `cls(**raw)`; a non-object or a bad key raises ValueError naming `what`."""
+    if not isinstance(raw, Mapping):
+        raise ValueError(f"{what} must be a JSON object, got {type(raw).__name__}")
+    try:
+        return cls(**raw)
+    except TypeError as exc:
+        raise ValueError(f"{what}: {exc}") from None
 
 
 def split_dataset(
@@ -233,18 +235,16 @@ def load_gold_models(gold_dir: str | Path) -> dict[str, sm.SemanticModel]:
 
 def make_provider(spec: Mapping, golds: Mapping[str, sm.SemanticModel]) -> Provider:
     """Build a provider from its config mapping; mock scripts replay gold answers."""
+    if not isinstance(spec, Mapping):
+        raise ValueError(f"provider must be a JSON object, got {type(spec).__name__}")
     kind = spec.get("kind", "mock")
     if kind == "mock":
-        corruption = None
-        if "corruption" in spec and spec["corruption"]:
-            raw = dict(spec["corruption"])
-            if "stages" in raw:
-                raw["stages"] = frozenset(raw["stages"])
-            corruption = CorruptionSpec(**raw)
+        raw = spec.get("corruption")
+        corruption = _from_mapping(CorruptionSpec, raw, "provider corruption") if raw else None
         return MockProvider(MockScript.from_gold(golds, corruption))
     if kind == "http":
         params = {k: v for k, v in spec.items() if k != "kind"}
-        return HttpProvider(ProviderConfig(**params))
+        return HttpProvider(_from_mapping(ProviderConfig, params, "provider"))
     raise ValueError(f"unknown provider kind {kind!r}")
 
 
@@ -314,6 +314,10 @@ def run_experiment(config: ExperimentConfig, provider: Provider | None = None) -
 
     out = Path(config.out_dir)
     out.mkdir(parents=True, exist_ok=True)
+    # An earlier run into this directory may have modelled other sources.
+    for name in _SOURCE_FILES:
+        for path in out.glob(f"sources/*/{name}"):
+            path.unlink()
     (out / "split.json").write_text(
         split.to_json(sorted(experiment.tables), config.random_state, config.test_size, config.shot) + "\n",
         encoding="utf-8",
@@ -494,9 +498,13 @@ def _write_run_meta(out: Path, config: ExperimentConfig, experiment: Experiment)
 
 
 def write_source_artifacts(directory: Path, sid: str, result: ChainResult | str) -> None:
-    """Write one source's labels, models, transcript and notes, or, when
-    `result` is a failed source's error text, its `error.txt`."""
-    directory.mkdir(parents=True, exist_ok=True)
+    """Replace the files in `directory` with one source's labels, models,
+    transcript and notes or, for a failed source's error text, `error.txt`."""
+    try:
+        directory.mkdir(parents=True)
+    except FileExistsError:
+        for name in _SOURCE_FILES:
+            (directory / name).unlink(missing_ok=True)
     if isinstance(result, str):
         (directory / "error.txt").write_text(result + "\n", encoding="utf-8")
         return

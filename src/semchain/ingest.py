@@ -11,7 +11,7 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Iterable, Iterator, Mapping
 
-from .errors import EmptySourceError, FormatError
+from .errors import EmptySourceError, FormatError, decode_json
 
 EMPTY = "<Empty>"
 DEFAULT_RECORD_CAP = 3
@@ -80,7 +80,7 @@ def parse_source(
         raise FormatError(f"{source_id}: not UTF-8: {exc}") from None
     cap = sys.maxsize if record_cap is None else record_cap
     fmt = SourceFormat(format)
-    # JSON decoding and the flattening of nested fields recurse once per level.
+    # Flattening nested XML/JSON fields recurses once per level.
     try:
         if fmt is SourceFormat.CSV:
             return _parse_csv(text, source_id, cap)
@@ -97,15 +97,6 @@ def serialize_table(table: Table, record_cap: int = DEFAULT_RECORD_CAP) -> Seria
         raise ValueError("record_cap must be >= 1")
     rows = [{a: record[a] for a in table.attributes} for record in table.records[:record_cap]]
     return SerializedTable(json.dumps(rows, indent=2, ensure_ascii=False), record_cap)
-
-
-def canonicalize(text: str) -> str:
-    """Reformat JSON text: 2-space indent, insertion-ordered keys, no trailing blanks."""
-    try:
-        doc = json.loads(text)
-    except ValueError as exc:
-        raise FormatError(f"not JSON: {exc}") from None
-    return json.dumps(doc, indent=2, ensure_ascii=False)
 
 
 # --- CSV --------------------------------------------------------------------
@@ -181,10 +172,7 @@ def _flatten_xml(elem: ET.Element, prefix: str, out: dict[str, str], source_id: 
 # --- JSON -------------------------------------------------------------------
 
 def _parse_json(text: str, source_id: str, cap: int) -> Table:
-    try:
-        doc = json.loads(text)
-    except ValueError as exc:
-        raise FormatError(f"{source_id}: bad JSON: {exc}") from None
+    doc = decode_json(text, source_id)
     records = (_flatten_json(item, "", {}, source_id) for item in _locate_records(doc, source_id))
     return _assemble(source_id, SourceFormat.JSON, records, cap)
 

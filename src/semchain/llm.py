@@ -231,15 +231,16 @@ class HttpProvider:
         try:
             data = response.json()
             text = data["choices"][0]["message"]["content"]
-        except (ValueError, KeyError, IndexError, TypeError) as exc:
+        except (ValueError, KeyError, IndexError, TypeError, RecursionError) as exc:
             raise ProviderError(f"malformed provider response: {exc}") from None
-        usage = data.get("usage") or {}
-        prompt_tokens = usage.get("prompt_tokens")
-        completion_tokens = usage.get("completion_tokens")
-        if prompt_tokens is None or completion_tokens is None:
-            prompt_tokens = naive_token_count(system) + sum(naive_token_count(t.content) for t in turns)
-            completion_tokens = naive_token_count(text)
-        return Completion(text, TokenUsage(int(prompt_tokens), int(completion_tokens)))
+        if not isinstance(text, str):
+            raise ProviderError(f"malformed provider response: content is {type(text).__name__}, not text")
+        usage = data.get("usage")
+        counts = (usage.get("prompt_tokens"), usage.get("completion_tokens")) if isinstance(usage, dict) else ()
+        if counts and all(type(n) is int for n in counts):
+            return Completion(text, TokenUsage(*counts))
+        prompt_tokens = naive_token_count(system) + sum(naive_token_count(t.content) for t in turns)
+        return Completion(text, TokenUsage(prompt_tokens, naive_token_count(text)))
 
 
 # --- deterministic mock -------------------------------------------------------
@@ -390,11 +391,15 @@ def extract_tagged_json(response: str, tag: str) -> str:
     the last balanced JSON object anywhere in the response.
     """
     regions = re.findall(rf"<{re.escape(tag)}>(.*?)</{re.escape(tag)}>", response, re.DOTALL)
-    for region in reversed(regions):
-        candidate = _strip_fences(region.strip())
-        if _parses(candidate):
-            return candidate
-    last = _last_balanced_object(response)
+    try:
+        for region in reversed(regions):
+            candidate = _strip_fences(region.strip())
+            if _parses(candidate):
+                return candidate
+        last = _last_balanced_object(response)
+    except RecursionError:
+        # Too deep fails at once: retrying from the next "{" would rescan the nesting.
+        raise NoAnswerError(f"<{tag}> answer nested too deeply to parse") from None
     if last is not None:
         return last
     raise NoAnswerError(f"no parseable <{tag}> answer (and no bare JSON object) in the response")
@@ -410,8 +415,6 @@ def _strip_fences(text: str) -> str:
 
 
 def _parses(text: str) -> bool:
-    if not text:
-        return False
     try:
         json.loads(text)
     except ValueError:

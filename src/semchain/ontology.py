@@ -6,7 +6,7 @@ import json
 from dataclasses import dataclass
 from typing import Mapping
 
-from .errors import DanglingNameError, FormatError, InheritanceCycleError, SchemaError
+from .errors import DanglingNameError, InheritanceCycleError, SchemaError, decode_json
 
 NODES_KEY = "Nodes"
 PROPERTIES_KEY = "Properties"
@@ -76,10 +76,7 @@ class Ontology:
 
 def parse_ontology(text: str) -> Ontology:
     """Read the three-field ontology JSON with "->" inheritance chains."""
-    try:
-        doc = json.loads(text)
-    except ValueError as exc:
-        raise FormatError(f"ontology is not JSON: {exc}") from None
+    doc = decode_json(text, "ontology")
     if not isinstance(doc, dict):
         raise SchemaError("ontology JSON must be an object")
     for key in (NODES_KEY, PROPERTIES_KEY, POTENTIAL_TRIPLES_KEY):

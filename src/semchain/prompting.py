@@ -3,14 +3,13 @@ the per-source prompts for each stage of the chain."""
 
 from __future__ import annotations
 
-import json
 import re
 from dataclasses import dataclass
 from importlib import resources
 from pathlib import Path
 from typing import Sequence
 
-from .errors import EmptyExamplesError, FormatError, Step1ParseError, TemplateError
+from .errors import EmptyExamplesError, FormatError, Step1ParseError, TemplateError, decode_json
 from .ingest import SerializedTable
 from .semantic_model import parse_labels
 
@@ -69,12 +68,12 @@ def build_system_prompt(
     template = template or PromptTemplate.load()
     if not examples:
         raise EmptyExamplesError("a system prompt needs at least one worked example")
-    _require_json(onto_json, "ontology")
+    decode_json(onto_json, "ontology")
     rule_step1, rule_step2 = rules
     blocks = []
     for table, step1_json, step2_json in examples:
-        _require_json(step1_json, "step1 example")
-        _require_json(step2_json, "step2 example")
+        decode_json(step1_json, "step1 example")
+        decode_json(step2_json, "step2 example")
         blocks.append(
             _substitute(
                 template.example,
@@ -151,10 +150,3 @@ def _substitute(template: str, values: dict[str, str]) -> str:
         return values[key]
 
     return PLACEHOLDER_RE.sub(repl, template)
-
-
-def _require_json(text: str, what: str) -> None:
-    try:
-        json.loads(text)
-    except ValueError as exc:
-        raise FormatError(f"{what} is not valid JSON: {exc}") from None

@@ -8,7 +8,7 @@ from collections import deque
 from dataclasses import dataclass
 from typing import Iterable
 
-from .errors import CyclicModelError, FormatError, InstanceParseError, SchemaError
+from .errors import CyclicModelError, InstanceParseError, SchemaError, decode_json
 from .ingest import Table
 
 SEMANTIC_TRIPLES_KEY = "semantic_triples"
@@ -304,10 +304,7 @@ def _lint_birth_death_numbering(model: SemanticModel) -> LintDiagnostic | None:
 # --- internals ---------------------------------------------------------------
 
 def _load_object(text: str) -> dict:
-    try:
-        doc = json.loads(text)
-    except ValueError as exc:
-        raise FormatError(f"model is not JSON: {exc}") from None
+    doc = decode_json(text, "model")
     if not isinstance(doc, dict):
         raise SchemaError("model JSON must be an object")
     return doc

@@ -1,12 +1,13 @@
 from __future__ import annotations
 
+import csv
 import json
 import shutil
 from pathlib import Path
 
 import pytest
 
-from semchain import split_dataset
+from semchain import Completion, split_dataset
 from semchain.cli import main
 
 from helpers import DEEPLY_NESTED
@@ -274,6 +275,100 @@ def test_build_prompt_works_when_a_test_source_fails_to_parse(toy_dir, tmp_path,
     assert capout().out == (tmp_path / "out" / "system_prompt.txt").read_text(encoding="utf-8") + "\n"
 
 
+@pytest.mark.parametrize(
+    "text", [b'{"semantic_triples": [', DEEPLY_NESTED["arrays.json"]], ids=["malformed", "nested"]
+)
+@pytest.mark.parametrize("command", ["eval", "serialize-ontology", "build-prompt"])
+def test_bad_json_input_prints_one_error_and_exits_one(command, text, toy_dir, tmp_path, capout):
+    bad = tmp_path / "bad.json"
+    bad.write_bytes(text)
+    gold = str(toy_dir / "gold" / "artists.json")
+    argv, what = {
+        "eval": (["eval", "--gold", str(bad), "--pred", gold], "model"),
+        "serialize-ontology": (["serialize-ontology", str(bad)], "ontology"),
+        "build-prompt": (["build-prompt", "--config", str(bad)], "config"),
+    }[command]
+    assert main(argv) == 1
+    err = capout().err
+    reason = "not JSON" if text.startswith(b"{") else "nested too deeply to parse"
+    assert err.startswith(f"error: {what}: {reason}")
+    assert err.count("\n") == 1
+
+
+@pytest.mark.parametrize(
+    "what, extra",
+    [
+        ("config chain", {"chain": {"prune": False}}),
+        ("config chain", {"chain": "on"}),
+        ("provider", {"provider": {"kind": "http", "base_url": "x", "model_name": "m", "retries": 1}}),
+        ("provider", {"provider": "mock"}),
+        ("provider corruption", {"provider": {"kind": "mock", "corruption": {"drop": 1}}}),
+        ("provider corruption", {"provider": {"kind": "mock", "corruption": [["drop_triples", 1]]}}),
+        ("config", {"surprise": 1}),
+    ],
+    ids=[
+        "chain-key", "chain-not-object", "provider-key", "provider-not-object",
+        "corruption-key", "corruption-not-object", "config-key",
+    ],
+)
+def test_bad_config_mappings_exit_one(what, extra, toy_dir, tmp_path, capout):
+    config = _write_config(toy_dir, tmp_path, **extra)
+    assert main(["experiment", "--config", str(config)]) == 1
+    err = capout().err
+    assert err.startswith(f"error: {what}")
+    assert err.count("\n") == 1
+    assert not (tmp_path / "out").exists()
+
+
+def test_a_deeply_nested_reply_fails_only_its_source(monkeypatch, toy_dir, tmp_path, capout):
+    from semchain import harness
+
+    make_provider = harness.make_provider
+
+    class _DeepArtists:
+        def __init__(self, inner):
+            self.inner = inner
+
+        def complete(self, system, turns, *, tags=None):
+            reply = self.inner.complete(system, turns, tags=tags)
+            if tags["source_id"] != "artists":
+                return reply
+            return Completion("<Step1>" + "[" * 100_000 + "]" * 100_000 + "</Step1>", reply.usage)
+
+    monkeypatch.setattr(harness, "make_provider", lambda spec, golds: _DeepArtists(make_provider(spec, golds)))
+    config = _write_config(toy_dir, tmp_path)
+    assert main(["experiment", "--config", str(config)]) == 2
+    out = tmp_path / "out"
+    with (out / "report.csv").open(newline="", encoding="utf-8") as handle:
+        rows = list(csv.DictReader(handle))
+    assert {row["source_id"] for row in rows if row["error"]} == {"artists"}
+    assert "nested too deeply" in (out / "sources" / "artists" / "error.txt").read_text()
+    assert all(row["precision"] == "1.000000" for row in rows if row["source_id"] != "artists")
+
+
+def test_run_into_a_reused_directory_leaves_only_its_own_files(toy_dir, tmp_path, capout):
+    config = _write_config(toy_dir, tmp_path, shot="one")
+    prompt_path = tmp_path / "system.txt"
+    assert main(["build-prompt", "--config", str(config), "--out", str(prompt_path)]) == 0
+    out_dir = tmp_path / "single"
+    out_dir.mkdir()
+    for name in ("error.txt", "notes.txt", "keep.txt"):
+        (out_dir / name).write_text("stale\n")
+    code = main(
+        [
+            "run",
+            "--system-prompt", str(prompt_path),
+            "--source", str(toy_dir / "sources" / "donations.csv"),
+            "--mock-gold", str(toy_dir / "gold" / "donations.json"),
+            "--out", str(out_dir),
+        ]
+    )
+    assert code == 0
+    assert sorted(p.name for p in out_dir.iterdir()) == [
+        "final_model.json", "keep.txt", "labels.json", "raw_model.json", "transcript.jsonl",
+    ]
+
+
 def test_config_errors_exit_one(tmp_path, capout):
     missing = tmp_path / "nope.json"
     assert main(["experiment", "--config", str(missing)]) == 1
@@ -285,6 +380,9 @@ def test_config_errors_exit_one(tmp_path, capout):
 def test_usage_errors_exit_one():
     with pytest.raises(SystemExit) as err:
         main(["eval", "--gold", "only-half-the-args"])
+    assert err.value.code == 1
+    with pytest.raises(SystemExit) as err:
+        main(["run", "--system-prompt", "p.txt", "--source", "s.csv", "--out", "o"])
     assert err.value.code == 1
 
 

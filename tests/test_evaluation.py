@@ -179,6 +179,26 @@ class TestMatchTriples:
             assert match_triples(gold, gold)[0] == gold.size()
         assert time.perf_counter() - started < 10.0
 
+    @pytest.mark.parametrize("k", [16, 32])
+    def test_renumbered_link_only_chains_stay_fast(self, k):
+        # k chains Artifact -> Production -> Person -> Birth -> Span, shaped
+        # like CIDOC-CRM events: Production and Birth carry no attribute, so
+        # only their links say which gold instance they are.
+        sems, links = [], []
+        for i in range(1, k + 1):
+            sems += [_sem(f"Artifact{i}", "has_title", f"title{i}"),
+                     _sem(f"Person{i}", "has_name", f"name{i}"),
+                     _sem(f"Span{i}", "has_date", f"date{i}")]
+            links += [_link(f"Artifact{i}", "produced_by", f"Production{i}"),
+                      _link(f"Production{i}", "carried_out_by", f"Person{i}"),
+                      _link(f"Person{i}", "brought_into_life", f"Birth{i}"),
+                      _link(f"Birth{i}", "has_span", f"Span{i}")]
+        gold = _model(sems, links)
+        pred = renamed_copy(gold, random.Random(k))
+        started = time.perf_counter()
+        assert match_triples(gold, pred)[0] == gold.size() == 7 * k
+        assert time.perf_counter() - started < 5.0
+
     def test_reported_bijection_is_deterministic(self):
         rng = random.Random(35)
         for counts in self.LARGE_SIZES:

@@ -226,6 +226,39 @@ class TestExperiment:
             if row.source_id != bad:
                 assert (row.precision, row.recall) == (1.0, 1.0)
 
+    def test_a_rerun_leaves_only_its_own_source_files(self, toy_config, toy_dir, tmp_path):
+        # The output directory is the dataset itself, so its sources/ holds
+        # the input files next to the per-source result directories.
+        dataset = tmp_path / "dataset"
+        shutil.copytree(toy_dir, dataset)
+        sources = dataset / "sources"
+        intact = (sources / "artists.csv").read_text()
+        (sources / "artists.csv").write_text(intact + ",".join(["x"] * 50) + "\n")
+        inputs = {p.name: p.read_bytes() for p in sources.iterdir()}
+        config = toy_config(sources_dir=sources, gold_dir=dataset / "gold", out_dir=dataset)
+        first = split_dataset(sorted(Path(name).stem for name in inputs), 2023, 0.5, "half")
+        assert run_experiment(config).has_failures()
+        assert (sources / "artists" / "error.txt").exists()
+        (sources / "donations" / "keep.txt").write_text("mine")
+        (sources / "donations" / "labels.json.bak").write_text("mine")
+        (sources / "donations" / "drafts").mkdir()
+
+        (sources / "artists.csv").write_text(intact)
+        inputs["artists.csv"] = intact.encode()
+        second = split_dataset(sorted(first.known + first.test), 2, 0.5, "half")
+        assert "artists" in first.test and "artists" in second.test
+        assert "donations" in first.test and "donations" not in second.test
+        assert not run_experiment(dataclasses.replace(config, random_state=2)).has_failures()
+
+        results = {"labels.json", "raw_model.json", "final_model.json", "transcript.jsonl"}
+        for sid in set(first.test) | set(second.test):
+            names = {p.name for p in (sources / sid).iterdir()}
+            if sid == "donations":
+                assert names == {"keep.txt", "labels.json.bak", "drafts"}
+            else:
+                assert names == results, sid
+        assert {p.name: p.read_bytes() for p in sources.iterdir() if p.is_file()} == inputs
+
     def test_load_tables_maps_a_bad_file_to_its_error(self, toy_dir, tmp_path):
         sources = tmp_path / "sources"
         shutil.copytree(toy_dir / "sources", sources)

@@ -13,7 +13,6 @@ from semchain import (
     EMPTY,
     SourceFormat,
     Table,
-    canonicalize,
     parse_source,
     serialize_table,
 )
@@ -151,14 +150,6 @@ def test_serialize_count_property():
         assert len(json.loads(serialize_table(table, cap).text)) == min(cap, len(table.records))
 
 
-def test_canonicalize_basics():
-    assert canonicalize('{"a":1}') == '{\n  "a": 1\n}'
-    pretty = canonicalize('{"b": [1, 2], "a": {"c": null}}')
-    assert canonicalize(pretty) == pretty
-    with pytest.raises(FormatError):
-        canonicalize("nope{")
-
-
 def _random_json(rng: random.Random, level: int = 0):
     choices = ["str", "int", "float", "bool", "null"]
     if level < 3:
@@ -177,16 +168,6 @@ def _random_json(rng: random.Random, level: int = 0):
     if kind == "arr":
         return [_random_json(rng, level + 1) for _ in range(rng.randint(0, 4))]
     return {f"k{i}": _random_json(rng, level + 1) for i in range(rng.randint(0, 4))}
-
-
-def test_canonicalize_idempotent_on_random_documents():
-    rng = random.Random(99)
-    for _ in range(100):
-        doc = _random_json(rng)
-        text = json.dumps(doc)
-        once = canonicalize(text)
-        assert canonicalize(once) == once
-        assert json.loads(once) == doc
 
 
 def _generated_json(rng: random.Random) -> bytes:

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import json
+import time
 from dataclasses import dataclass
 
 import pytest
@@ -63,6 +64,21 @@ class TestExtraction:
     def test_no_answer_raises(self):
         with pytest.raises(NoAnswerError):
             extract_tagged_json("no json anywhere", "Step1")
+
+    @pytest.mark.parametrize(
+        "reply",
+        [
+            "<Step1>" + "[" * 100_000 + "]" * 100_000 + "</Step1>",
+            "prose " + '{"a": ' * 100_000 + "1" + "}" * 100_000,
+        ],
+        ids=["tagged", "bare"],
+    )
+    def test_a_reply_nested_too_deeply_is_one_no_answer_error(self, reply):
+        # Retrying from each "{" of a 600 KB reply took seconds.
+        started = time.perf_counter()
+        with pytest.raises(NoAnswerError, match="<Step1> answer nested too deeply"):
+            extract_tagged_json(reply, "Step1")
+        assert time.perf_counter() - started < 1.0
 
     def test_extraction_result_always_parses(self):
         import random
@@ -325,6 +341,42 @@ class TestHttpProvider:
         provider = _provider([_CutResponse(200), _ok_response()])
         assert provider.complete("s", []).text == "hello"
         assert provider._session.posts == 2
+
+    @pytest.mark.parametrize(
+        "body", ['{"choices": [', "[" * 100_000 + "]" * 100_000], ids=["malformed", "nested"]
+    )
+    def test_a_body_that_cannot_be_decoded_is_a_provider_error(self, body):
+        class _BodyResponse(_FakeResponse):
+            # Decodes its body as requests.Response.json does.
+            def json(self):
+                return json.loads(self.text)
+
+        provider = _provider([_BodyResponse(200, text=body)])
+        with pytest.raises(ProviderError, match="malformed provider response"):
+            provider.complete("s", [])
+        assert provider._session.posts == 1
+
+    @pytest.mark.parametrize("content", [None, 7, ["hello"], {"text": "hello"}])
+    def test_content_that_is_not_text_is_a_provider_error(self, content):
+        with pytest.raises(ProviderError, match="malformed provider response"):
+            _provider([_ok_response(content=content)]).complete("s", [])
+
+    @pytest.mark.parametrize(
+        "usage",
+        [
+            "lots",
+            ["10", "5"],
+            {"prompt_tokens": "many", "completion_tokens": 5},
+            {"prompt_tokens": 10, "completion_tokens": 2.5},
+            {"prompt_tokens": 10, "completion_tokens": True},
+            {"prompt_tokens": 10},
+        ],
+    )
+    def test_usage_without_integer_counts_falls_back_to_the_whitespace_count(self, usage):
+        response = _ok_response(content="two words", usage=False)
+        response._payload["usage"] = usage
+        completion = _provider([response]).complete("the system", [Message("user", "hi there you")])
+        assert completion.usage == TokenUsage(5, 2)
 
     def test_non_2xx_fails_fast(self):
         provider = _provider([_FakeResponse(404, text="missing")])

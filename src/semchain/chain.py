@@ -29,6 +29,12 @@ class ChainConfig:
     pruning_enabled: bool = True
     strict_ontology_validation: bool = False
 
+    def __post_init__(self) -> None:
+        for name in ("chaining_enabled", "pruning_enabled", "strict_ontology_validation"):
+            value = getattr(self, name)
+            if not isinstance(value, bool):
+                raise TypeError(f"{name} must be true or false, got {value!r}")
+
 
 @dataclass(frozen=True)
 class ChainResult:

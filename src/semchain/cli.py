@@ -12,7 +12,7 @@ from . import harness
 from . import ontology as onto_mod
 from . import semantic_model as sm
 from .chain import ChainConfig, run_chain
-from .errors import SemchainError
+from .errors import SemchainError, decode_json
 from .ingest import SourceFormat, parse_source, serialize_table
 from .llm import MockProvider, MockScript
 
@@ -185,12 +185,13 @@ def _cmd_eval(args) -> int:
 
 
 def _read_model_file(path: Path) -> sm.SemanticModel:
-    # Accepts full models and the labels-only files the harness writes.
+    # Accepts full models and the labels-only files the harness writes, which
+    # have no links field; a model whose links field is malformed is an error.
     text = path.read_text(encoding="utf-8")
-    try:
-        return sm.parse_model(text)
-    except SemchainError:
+    doc = decode_json(text, "model")
+    if isinstance(doc, dict) and sm.INTERNAL_LINK_TRIPLES_KEY not in doc:
         return sm.parse_labels(text)
+    return sm.parse_model(text)
 
 
 def _cmd_lint_gold(args) -> int:

@@ -94,6 +94,12 @@ class ExperimentConfig:
             self.templates_dir = Path(self.templates_dir)
         if self.rules_dir is not None:
             self.rules_dir = Path(self.rules_dir)
+        for name in ("random_state", "record_cap", "max_workers"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, int):
+                raise TypeError(f"{name} must be an integer, got {value!r}")
+        if not isinstance(self.test_size, (int, float)):
+            raise TypeError(f"test_size must be a number, got {self.test_size!r}")
         if not 0 < self.test_size < 1:
             raise ValueError(f"test_size must be in (0, 1), got {self.test_size}")
         if self.record_cap < 1:
@@ -227,7 +233,10 @@ def load_gold_models(gold_dir: str | Path) -> dict[str, sm.SemanticModel]:
     gold_dir = Path(gold_dir)
     golds = {}
     for path in sorted(gold_dir.glob("*.json")):
-        golds[path.stem] = sm.parse_model(path.read_text(encoding="utf-8"))
+        try:
+            golds[path.stem] = sm.parse_model(path.read_text(encoding="utf-8"))
+        except SemchainError as exc:
+            raise type(exc)(f"{path.name}: {exc}") from None
     if not golds:
         raise ValueError(f"no gold models found in {gold_dir}")
     return golds

@@ -3,13 +3,15 @@
 from __future__ import annotations
 
 import csv
+import gc
 import io
 import json
 import sys
 import xml.etree.ElementTree as ET
 from dataclasses import dataclass
 from enum import Enum
-from typing import Iterable, Iterator, Mapping
+from operator import attrgetter
+from typing import Callable, Iterable, Iterator, Mapping
 
 from .errors import EmptySourceError, FormatError, decode_json
 
@@ -70,7 +72,10 @@ def parse_source(
     Absent values become the `<Empty>` sentinel, nested XML/JSON fields are
     flattened to dotted attribute names, and every cell is kept as a string.
     One pass checks every record and discovers every attribute, but only the
-    first `record_cap` records are kept (all of them when it is None).
+    first `record_cap` records are kept (all of them when it is None). Past
+    the cap, an XML or JSON record is flattened only when its tag or key tree
+    is new, and the cyclic garbage collector is paused while the source is
+    parsed.
     """
     if record_cap is not None and record_cap < 1:
         raise ValueError("record_cap must be >= 1")
@@ -82,13 +87,30 @@ def parse_source(
     fmt = SourceFormat(format)
     # Flattening nested XML/JSON fields recurses once per level.
     try:
-        if fmt is SourceFormat.CSV:
-            return _parse_csv(text, source_id, cap)
-        if fmt is SourceFormat.XML:
-            return _parse_xml(text, source_id, cap)
-        return _parse_json(text, source_id, cap)
+        with _GcPaused():
+            if fmt is SourceFormat.CSV:
+                return _parse_csv(text, source_id, cap)
+            if fmt is SourceFormat.XML:
+                return _parse_xml(text, source_id, cap)
+            return _parse_json(text, source_id, cap)
     except RecursionError:
         raise FormatError(f"{source_id}: nested too deeply to parse") from None
+
+
+class _GcPaused:
+    # The parsers build only acyclic containers (elements, dicts, lists), which
+    # reference counting frees; left running, the cyclic collector rescans the
+    # growing tree or document many times over while adding nothing. A class,
+    # not @contextmanager, keeps the pause cheap for sources of a few rows.
+    __slots__ = ("_enabled",)
+
+    def __enter__(self) -> None:
+        self._enabled = gc.isenabled()
+        gc.disable()
+
+    def __exit__(self, *exc_info) -> None:
+        if self._enabled:
+            gc.enable()
 
 
 def serialize_table(table: Table, record_cap: int = DEFAULT_RECORD_CAP) -> SerializedTable:
@@ -141,20 +163,16 @@ def _parse_xml(text: str, source_id: str, cap: int) -> Table:
     # The repeated-record element is the most frequent child tag of the root;
     # ties go to the tag encountered first.
     record_tag = max(counts, key=counts.get)  # type: ignore[arg-type]
-    return _assemble(source_id, SourceFormat.XML, _xml_records(root, record_tag, cap, source_id), cap)
+    elems = (elem for elem in root if elem.tag == record_tag)
+    records = _flattened(elems, cap, source_id, _xml_shape, _flatten_xml)
+    return _assemble(source_id, SourceFormat.XML, records, cap)
 
 
-def _xml_records(root: ET.Element, record_tag: str, cap: int, source_id: str) -> Iterator[dict]:
-    # Names and repeated elements depend only on a record's tag tree, so past
-    # the cap a record is flattened only when its tree is new.
-    shapes: set[tuple] = set()
-    for i, elem in enumerate(e for e in root if e.tag == record_tag):
-        if i >= cap:
-            shape = tuple((node.tag, len(node)) for node in elem.iter())
-            if shape in shapes:
-                continue
-            shapes.add(shape)
-        yield _flatten_xml(elem, "", {}, source_id)
+_TAG = attrgetter("tag")
+
+
+def _xml_shape(elem: ET.Element) -> tuple:
+    return tuple(map(_TAG, elem.iter())), tuple(map(len, elem.iter()))
 
 
 def _flatten_xml(elem: ET.Element, prefix: str, out: dict[str, str], source_id: str) -> dict[str, str]:
@@ -173,8 +191,25 @@ def _flatten_xml(elem: ET.Element, prefix: str, out: dict[str, str], source_id: 
 
 def _parse_json(text: str, source_id: str, cap: int) -> Table:
     doc = decode_json(text, source_id)
-    records = (_flatten_json(item, "", {}, source_id) for item in _locate_records(doc, source_id))
+    records = _flattened(_locate_records(doc, source_id), cap, source_id, _json_shape, _flatten_json)
     return _assemble(source_id, SourceFormat.JSON, records, cap)
+
+
+def _json_shape(item: dict) -> tuple:
+    # The key tree: the record's keys, then breadth-first, each dict value's
+    # key and keys, with None closing each dict. A queue in place of recursion
+    # leaves running out of depth to _flatten_json, and comparing two flat
+    # trees does not recurse either.
+    tree = [tuple(item)]
+    queue = [item]
+    for value in queue:
+        for key, child in value.items():
+            if isinstance(child, dict):
+                tree.append(key)
+                tree.append(tuple(child))
+                queue.append(child)
+        tree.append(None)
+    return tuple(tree)
 
 
 def _locate_records(doc, source_id: str) -> list[dict]:
@@ -215,6 +250,21 @@ def _cell(value) -> str:
 
 
 # --- shared -----------------------------------------------------------------
+
+def _flattened(
+    items: Iterable, cap: int, source_id: str, shape: Callable, flatten: Callable
+) -> Iterator[dict]:
+    # Names, collisions and repeated elements depend only on a record's tag or
+    # key tree, so past the cap a record is flattened only when its tree is new.
+    shapes: set[tuple] = set()
+    for i, item in enumerate(items):
+        if i >= cap:
+            key = shape(item)
+            if key in shapes:
+                continue
+            shapes.add(key)
+        yield flatten(item, "", {}, source_id)
+
 
 def _assemble(source_id: str, fmt: SourceFormat, records: Iterable[dict], cap: int) -> Table:
     # Attributes come from every record in first-seen order (the dict is an

@@ -63,6 +63,22 @@ def test_eval_identical_files_prints_perfect_scores(toy_dir, capout):
     assert "recall 1.000" in out
 
 
+def test_eval_rejects_a_model_with_malformed_links(toy_dir, tmp_path, capout):
+    gold = toy_dir / "gold" / "artists.json"
+    doc = json.loads(gold.read_text(encoding="utf-8"))
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps({**doc, "internal_link_triples": "oops"}), encoding="utf-8")
+    assert main(["eval", "--gold", str(bad), "--pred", str(gold), "--step", "modeling"]) == 1
+    out = capout()
+    assert out.out == ""
+    assert out.err == "error: 'internal_link_triples' must be an array\n"
+    # A labels-only file, which has no links field, is still read.
+    labels = tmp_path / "labels.json"
+    labels.write_text(json.dumps({"semantic_triples": doc["semantic_triples"]}), encoding="utf-8")
+    assert main(["eval", "--gold", str(gold), "--pred", str(labels), "--step", "labeling"]) == 0
+    assert "precision 1.000" in capout().out
+
+
 def test_experiment_with_mock_provider_completes_offline(toy_dir, tmp_path, capout):
     config = _write_config(toy_dir, tmp_path)
     code = main(["experiment", "--config", str(config)])
@@ -305,10 +321,14 @@ def test_bad_json_input_prints_one_error_and_exits_one(command, text, toy_dir, t
         ("provider corruption", {"provider": {"kind": "mock", "corruption": {"drop": 1}}}),
         ("provider corruption", {"provider": {"kind": "mock", "corruption": [["drop_triples", 1]]}}),
         ("config", {"surprise": 1}),
+        ("config chain", {"chain": {"pruning_enabled": "no"}}),
+        ("config chain", {"chain": {"chaining_enabled": "false"}}),
+        ("config", {"max_workers": 2.5}),
     ],
     ids=[
         "chain-key", "chain-not-object", "provider-key", "provider-not-object",
         "corruption-key", "corruption-not-object", "config-key",
+        "chain-flag-string-no", "chain-flag-string-false", "max-workers-float",
     ],
 )
 def test_bad_config_mappings_exit_one(what, extra, toy_dir, tmp_path, capout):

@@ -9,10 +9,12 @@ from pathlib import Path
 import pytest
 
 from semchain import (
+    ChainConfig,
     ExperimentConfig,
     MockProvider,
     MockScript,
     Table,
+    load_gold_models,
     load_tables,
     run_ablation,
     run_experiment,
@@ -442,3 +444,26 @@ class TestExperiment:
         )
         with pytest.raises(ValueError, match="without gold"):
             run_experiment(config)
+
+    def test_a_bad_gold_file_is_named_in_its_error(self, toy_dir, tmp_path):
+        gold_dir = tmp_path / "gold"
+        gold_dir.mkdir()
+        shutil.copy(toy_dir / "gold" / "artists.json", gold_dir)
+        (gold_dir / "bad.json").write_text('{"semantic_triples": [')
+        with pytest.raises(FormatError, match=r"^bad\.json: model: not JSON: "):
+            load_gold_models(gold_dir)
+
+
+@pytest.mark.parametrize(
+    "field, value",
+    [("random_state", "7"), ("record_cap", True), ("max_workers", 2.5), ("test_size", "0.5")],
+)
+def test_ill_typed_config_values_raise_type_error(field, value, toy_config):
+    with pytest.raises(TypeError, match=field):
+        toy_config(**{field: value})
+
+
+@pytest.mark.parametrize("field", ["chaining_enabled", "pruning_enabled", "strict_ontology_validation"])
+def test_chain_flags_must_be_bool(field):
+    with pytest.raises(TypeError, match=field):
+        ChainConfig(**{field: "false"})

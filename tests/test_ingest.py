@@ -1,10 +1,12 @@
 from __future__ import annotations
 
 import csv
+import gc
 import io
 import json
 import random
 import string
+import sys
 import xml.etree.ElementTree as ET
 
 import pytest
@@ -227,22 +229,25 @@ def _outcome(raw: bytes, fmt: SourceFormat, record_cap=None):
     try:
         return parse_source(raw, fmt, "s", record_cap)
     except (FormatError, EmptySourceError) as exc:
-        return type(exc)
+        return type(exc), str(exc)
+
+
+def _assert_capped_parse_is_the_head(raw: bytes, fmt: SourceFormat) -> None:
+    full = _outcome(raw, fmt)
+    for cap in range(1, 6):
+        capped = _outcome(raw, fmt, cap)
+        if isinstance(full, Table):
+            assert capped.attributes == full.attributes
+            assert capped.records == full.records[:cap]
+        else:
+            assert capped == full
 
 
 @pytest.mark.parametrize("fmt", list(SourceFormat))
 def test_capped_parse_is_the_head_of_the_full_parse(fmt):
     rng = random.Random(f"capped-{fmt.value}")
     for _ in range(80):
-        raw = GENERATORS[fmt](rng)
-        full = _outcome(raw, fmt)
-        for cap in range(1, 6):
-            capped = _outcome(raw, fmt, cap)
-            if isinstance(full, Table):
-                assert capped.attributes == full.attributes
-                assert capped.records == full.records[:cap]
-            else:
-                assert capped is full
+        _assert_capped_parse_is_the_head(GENERATORS[fmt](rng), fmt)
 
 
 @pytest.mark.parametrize(
@@ -251,13 +256,14 @@ def test_capped_parse_is_the_head_of_the_full_parse(fmt):
         (SourceFormat.CSV, b"a,b\n1,2\n3,4\n5,6,7\n"),
         (SourceFormat.XML, b"<d><r><a>1</a></r><r><a>2</a></r><r><a>3</a><a>4</a></r></d>"),
         (SourceFormat.JSON, b'[{"a": {"b": 1}}, {"a": {"b": 2}}, {"a.b": 3, "a": {"b": 4}}]'),
+        (SourceFormat.JSON, b'[{"a.b": 1, "a": 1}, {"a.b": 2, "a": 2}, {"a.b": 3, "a": {"b": 4}}]'),
         (SourceFormat.JSON, b'[{"a": 1}, {"a": 2}, 3]'),
         (SourceFormat.JSON, b'{"rows": [{"a": 1}, {"a": 2}, 3]}'),
         (SourceFormat.XML, b"<d><r><a>1</a></r><r><a>2</a></r><r><a>3</a></r>"),
         (SourceFormat.CSV, b"a\n1\n2\n3\n\xff\n"),
     ],
-    ids=["csv-wide-row", "xml-repeat", "json-collision", "json-non-object", "json-wrapped-non-object",
-         "xml-unclosed-root", "csv-bad-utf8"],
+    ids=["csv-wide-row", "xml-repeat", "json-collision", "json-collision-in-nesting", "json-non-object",
+         "json-wrapped-non-object", "xml-unclosed-root", "csv-bad-utf8"],
 )
 def test_defects_after_the_cap_still_raise(fmt, raw):
     for cap in (1, 2, None):
@@ -296,6 +302,108 @@ def test_xml_with_two_record_shapes_finds_both_attribute_sets():
     assert table.attributes == ("a", "b.c", "b", "c")
     assert table.records == ({"a": "1", "b.c": EMPTY, "b": EMPTY, "c": EMPTY},)
     assert parse_source(raw, SourceFormat.XML, "t").attributes == table.attributes
+
+
+def test_json_with_two_record_shapes_finds_every_attribute():
+    # The last three records have the same top-level keys but nest them differently.
+    raw = b'[{"x": "0"}, {"a": {"b": 1}}, {"a": 1}, {"a": {"c": 1}}]'
+    table = parse_source(raw, SourceFormat.JSON, "t", 1)
+    assert table.attributes == ("x", "a.b", "a", "a.c")
+    assert table.records == ({"x": "0", "a.b": EMPTY, "a": EMPTY, "a.c": EMPTY},)
+    assert parse_source(raw, SourceFormat.JSON, "t").attributes == table.attributes
+
+
+def test_deep_record_repeated_past_the_cap_parses_as_in_the_full_parse():
+    # Deep enough that comparing two key trees must not recurse per level.
+    depth = sys.getrecursionlimit() * 3 // 5
+    record = '{"a": ' * depth + "1" + "}" * depth
+    raw = f'[{{"x": 0}}, {record}, {record}]'.encode()
+    full = parse_source(raw, SourceFormat.JSON, "t")
+    capped = parse_source(raw, SourceFormat.JSON, "t", 1)
+    assert capped.attributes == full.attributes == ("x", ".".join(["a"] * depth))
+    assert capped.records == full.records[:1]
+
+
+_NAMES = ["a", "b", "c", "a.b"]
+_LEAVES = [None, "", "x", "<&>", 1, 2.5, True, [1, "y"]]
+
+
+def _record_shape(rng: random.Random, names: list[str], level: int = 0) -> dict:
+    """Names mapped to a nested shape or to None for a leaf; "a.b" may collide
+    with a nested "a" once flattened, so some sources are malformed."""
+    return {
+        name: _record_shape(rng, rng.sample(_NAMES, rng.randint(0, 3)), level + 1)
+        if level < 2 and rng.random() < 0.4
+        else None
+        for name in names
+    }
+
+
+def _fill_json(shape: dict, rng: random.Random) -> dict:
+    return {k: rng.choice(_LEAVES) if v is None else _fill_json(v, rng) for k, v in shape.items()}
+
+
+def _fill_xml(parent: ET.Element, shape: dict, rng: random.Random) -> None:
+    for name, sub in shape.items():
+        child = ET.SubElement(parent, name)
+        if sub is None:
+            child.text = str(rng.choice(_LEAVES))
+        else:
+            _fill_xml(child, sub, rng)
+
+
+def _large_source(fmt: SourceFormat, rng: random.Random) -> bytes:
+    """Over 1,000 records drawn from a few shapes that share their top-level
+    names and differ in nesting, so that past the cap most records repeat a
+    shape already seen."""
+    n = rng.randint(1000, 1200)
+    if fmt is SourceFormat.CSV:
+        buffer = io.StringIO()
+        writer = csv.writer(buffer)
+        writer.writerow(["a", "b", "c"])
+        wide = rng.randrange(2 * n)
+        for i in range(n):
+            width = 4 if i == wide else rng.randint(0, 3)
+            writer.writerow([rng.choice(["", "x", "y,z"]) for _ in range(width)])
+        return buffer.getvalue().encode()
+    names = rng.sample(_NAMES, rng.randint(1, 3))
+    shapes = [_record_shape(rng, names) for _ in range(rng.randint(1, 6))]
+    if fmt is SourceFormat.JSON:
+        return json.dumps([_fill_json(rng.choice(shapes), rng) for _ in range(n)]).encode()
+    root = ET.Element("root")
+    repeat = rng.randrange(2 * n)
+    for i in range(n):
+        row = ET.SubElement(root, "row")
+        _fill_xml(row, rng.choice(shapes), rng)
+        if i == repeat:
+            row.append(row[0])
+    return ET.tostring(root)
+
+
+@pytest.mark.parametrize("fmt", list(SourceFormat))
+def test_capped_parse_of_large_sources_is_the_head_of_the_full_parse(fmt):
+    rng = random.Random(f"large-{fmt.value}")
+    for _ in range(6):
+        _assert_capped_parse_is_the_head(_large_source(fmt, rng), fmt)
+
+
+_GC_CASES = {"good.json": b'[{"a": {"b": 1}}, {"a": 2}]', "bad.xml": b"<unclosed>", **DEEPLY_NESTED}
+
+
+@pytest.mark.parametrize("enabled", [True, False], ids=["gc-on", "gc-off"])
+@pytest.mark.parametrize("name", sorted(_GC_CASES))
+def test_parse_leaves_the_collector_as_it_found_it(enabled, name):
+    fmt = SourceFormat.from_suffix(name.rsplit(".", 1)[1])
+    was_enabled = gc.isenabled()
+    try:
+        (gc.enable if enabled else gc.disable)()
+        try:
+            parse_source(_GC_CASES[name], fmt, "t", 1)
+        except FormatError:
+            assert not name.startswith("good")
+        assert gc.isenabled() is enabled
+    finally:
+        (gc.enable if was_enabled else gc.disable)()
 
 
 def test_record_cap_must_be_positive():

@@ -10,7 +10,9 @@ from typing import Mapping
 from . import ontology as onto_mod
 from . import prompting
 from . import semantic_model as sm
-from .errors import DanglingNameError, NoAnswerError, SchemaError, Step1ParseError, decode_json
+from .errors import (
+    DanglingNameError, NoAnswerError, SchemaError, SemchainError, Step1ParseError, decode_json,
+)
 from .ingest import DEFAULT_RECORD_CAP, Table, serialize_table
 from .llm import (
     STAGE_CHAIN1,
@@ -131,7 +133,7 @@ def _extract(reply: str, tag: str, stage: str) -> str:
 def _parse_labels(step1_json: str, stage: str) -> sm.SemanticModel:
     try:
         return sm.parse_labels(step1_json)
-    except Exception as exc:
+    except SemchainError as exc:
         raise Step1ParseError(f"{stage}: {exc}") from exc
 
 

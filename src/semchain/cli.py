@@ -151,8 +151,10 @@ def _cmd_run(args) -> int:
 def _cmd_experiment(args) -> int:
     config = _load_config(args)
     seeds = [config.random_state]
-    if args.seeds:
+    if args.seeds is not None:
         seeds = [int(part) for part in args.seeds.split(",") if part.strip()]
+        if not seeds:
+            raise ValueError(f"--seeds {args.seeds!r} names no random state")
     failures = False
     for seed in seeds:
         out_dir = Path(config.out_dir)

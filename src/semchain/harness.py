@@ -357,20 +357,15 @@ def run_ablation(config: ExperimentConfig, provider: Provider | None = None) -> 
     is scored on the chained one's replies instead of asking again. Each
     returned row also says whether its configuration had failed sources.
     """
-    variants = [
-        ("single-prompt", ChainConfig(chaining_enabled=False, pruning_enabled=False)),
-        ("chaining", ChainConfig(chaining_enabled=True, pruning_enabled=False)),
-        ("chaining+prune", ChainConfig(chaining_enabled=True, pruning_enabled=True)),
-    ]
+    variants = [("single-prompt", False, False), ("chaining", True, False), ("chaining+prune", True, True)]
     if provider is None:
         provider = make_provider(config.provider, load_gold_models(config.gold_dir))
     shared = _SharedReplies(provider)
     out = Path(config.out_dir)
     rows = []
-    for name, chain_config in variants:
-        sub = dataclasses.replace(
-            config, chain=chain_config, out_dir=out / "ablation" / name
-        )
+    for name, chaining, pruning in variants:
+        chain = dataclasses.replace(config.chain, chaining_enabled=chaining, pruning_enabled=pruning)
+        sub = dataclasses.replace(config, chain=chain, out_dir=out / "ablation" / name)
         report = run_experiment(sub, shared)
         if name == "chaining+prune":
             meta_path = sub.out_dir / "run_meta.json"

@@ -85,31 +85,22 @@ def parse_source(
         raise FormatError(f"{source_id}: not UTF-8: {exc}") from None
     cap = sys.maxsize if record_cap is None else record_cap
     fmt = SourceFormat(format)
-    # Flattening nested XML/JSON fields recurses once per level.
-    try:
-        with _GcPaused():
-            if fmt is SourceFormat.CSV:
-                return _parse_csv(text, source_id, cap)
-            if fmt is SourceFormat.XML:
-                return _parse_xml(text, source_id, cap)
-            return _parse_json(text, source_id, cap)
-    except RecursionError:
-        raise FormatError(f"{source_id}: nested too deeply to parse") from None
-
-
-class _GcPaused:
     # The parsers build only acyclic containers (elements, dicts, lists), which
     # reference counting frees; left running, the cyclic collector rescans the
-    # growing tree or document many times over while adding nothing. A class,
-    # not @contextmanager, keeps the pause cheap for sources of a few rows.
-    __slots__ = ("_enabled",)
-
-    def __enter__(self) -> None:
-        self._enabled = gc.isenabled()
-        gc.disable()
-
-    def __exit__(self, *exc_info) -> None:
-        if self._enabled:
+    # growing tree or document many times over while adding nothing.
+    enabled = gc.isenabled()
+    gc.disable()
+    # Flattening nested XML/JSON fields recurses once per level.
+    try:
+        if fmt is SourceFormat.CSV:
+            return _parse_csv(text, source_id, cap)
+        if fmt is SourceFormat.XML:
+            return _parse_xml(text, source_id, cap)
+        return _parse_json(text, source_id, cap)
+    except RecursionError:
+        raise FormatError(f"{source_id}: nested too deeply to parse") from None
+    finally:
+        if enabled:
             gc.enable()
 
 

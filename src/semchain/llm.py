@@ -98,6 +98,9 @@ class ProviderConfig:
     requests_per_minute: int = 60
 
     def __post_init__(self) -> None:
+        _require(self, ("base_url", "model_name", "api_key_env"), str)
+        _require(self, ("max_tokens", "max_retries", "requests_per_minute"), int)
+        _require(self, ("temperature", "timeout"), (int, float))
         if self.temperature < 0:
             raise ValueError("temperature must be >= 0")
         if self.timeout <= 0:
@@ -106,6 +109,15 @@ class ProviderConfig:
             raise ValueError("max_retries must be >= 0")
         if self.requests_per_minute < 1:
             raise ValueError("requests_per_minute must be >= 1")
+
+
+def _require(obj, names: tuple[str, ...], types) -> None:
+    """Raise TypeError unless each named field is of `types`; a bool is no number."""
+    for name in names:
+        value = getattr(obj, name)
+        if isinstance(value, bool) or not isinstance(value, types):
+            kind = {int: "an integer", str: "a string"}.get(types, "a number")
+            raise TypeError(f"{name} must be {kind}, got {value!r}")
 
 
 class Provider(Protocol):
@@ -263,6 +275,9 @@ class CorruptionSpec:
     stages: frozenset[str] = ALL_STAGES
 
     def __post_init__(self) -> None:
+        _require(self, ("drop_triples", "inject_instances", "rename_properties", "seed"), int)
+        if isinstance(self.stages, str):
+            raise TypeError(f"stages must be a collection of stage names, got {self.stages!r}")
         object.__setattr__(self, "stages", frozenset(self.stages))
         for name in ("drop_triples", "inject_instances", "rename_properties"):
             if getattr(self, name) < 0:
@@ -280,10 +295,9 @@ class CorruptionSpec:
 
 @dataclass(frozen=True)
 class MockScript:
-    """Canned responses keyed by (source_id, stage), plus optional corruption."""
+    """Finished replies keyed by (source_id, stage)."""
 
     responses: Mapping[tuple[str, str], str]
-    corruption: CorruptionSpec | None = None
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "responses", dict(self.responses))
@@ -295,17 +309,31 @@ class MockScript:
         corruption: CorruptionSpec | None = None,
         reasoning: str = "Working through the attributes against the ontology, one at a time, gives:",
     ) -> "MockScript":
+        """Script each gold model as its source's replies.
+
+        `corruption` damages the replies of the stages it names here, once,
+        with an RNG seeded from (seed, source_id, stage); in a combined reply
+        Step1 draws from it before Step2.
+        """
+
+        def step(tag: str, body: str, rng: random.Random | None) -> str:
+            if rng is not None:
+                doc = _corrupt_doc(json.loads(body), corruption, rng)
+                body = json.dumps(doc, indent=2, ensure_ascii=False)
+            return f"{reasoning}\n<{tag}>\n{body}\n</{tag}>"
+
         responses: dict[tuple[str, str], str] = {}
         for source_id, gold in golds.items():
-            labels = sm.serialize_labels(gold)
-            model = sm.serialize_model(gold)
-            responses[(source_id, STAGE_CHAIN1)] = f"{reasoning}\n<Step1>\n{labels}\n</Step1>"
-            responses[(source_id, STAGE_CHAIN2)] = f"{reasoning}\n<Step2>\n{model}\n</Step2>"
-            responses[(source_id, STAGE_COMBINED)] = (
-                f"{reasoning}\n<Step1>\n{labels}\n</Step1>\n"
-                f"{reasoning}\n<Step2>\n{model}\n</Step2>"
-            )
-        return cls(responses, corruption)
+            labels = ("Step1", sm.serialize_labels(gold))
+            model = ("Step2", sm.serialize_model(gold))
+            stage_steps = {STAGE_CHAIN1: (labels,), STAGE_CHAIN2: (model,), STAGE_COMBINED: (labels, model)}
+            for stage, steps in stage_steps.items():
+                rng = None
+                if corruption and corruption.active and stage in corruption.stages:
+                    digest = hashlib.sha256(f"{corruption.seed}|{source_id}|{stage}".encode("utf-8")).digest()
+                    rng = random.Random(int.from_bytes(digest[:8], "big"))
+                responses[(source_id, stage)] = "\n".join(step(tag, body, rng) for tag, body in steps)
+        return cls(responses)
 
 
 class MockProvider:
@@ -330,30 +358,11 @@ class MockProvider:
             raise ProviderError("mock provider needs source_id and stage tags")
         with self._lock:
             self.calls.append((source_id, stage))
-        key = (source_id, stage)
-        if key not in self.script.responses:
-            raise ProviderError(f"no scripted response for {key!r}")
-        text = self.script.responses[key]
-        corruption = self.script.corruption
-        if corruption and corruption.active and stage in corruption.stages:
-            text = _corrupt_response(text, corruption, source_id, stage)
+        text = self.script.responses.get((source_id, stage))
+        if text is None:
+            raise ProviderError(f"no scripted response for {(source_id, stage)!r}")
         prompt_tokens = naive_token_count(system) + sum(naive_token_count(t.content) for t in turns)
         return Completion(text, TokenUsage(prompt_tokens, naive_token_count(text)))
-
-
-def _corrupt_response(text: str, spec: CorruptionSpec, source_id: str, stage: str) -> str:
-    digest = hashlib.sha256(f"{spec.seed}|{source_id}|{stage}".encode("utf-8")).digest()
-    rng = random.Random(int.from_bytes(digest[:8], "big"))
-
-    def patch(match: re.Match) -> str:
-        tag, body = match.group(1), match.group(2)
-        try:
-            doc = json.loads(body)
-        except ValueError:
-            return match.group(0)
-        return f"<{tag}>\n{json.dumps(_corrupt_doc(doc, spec, rng), indent=2, ensure_ascii=False)}\n</{tag}>"
-
-    return re.sub(r"<(Step[12])>(.*?)</\1>", patch, text, flags=re.DOTALL)
 
 
 def _corrupt_doc(doc: dict, spec: CorruptionSpec, rng: random.Random) -> dict:

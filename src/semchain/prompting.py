@@ -9,7 +9,9 @@ from importlib import resources
 from pathlib import Path
 from typing import Sequence
 
-from .errors import EmptyExamplesError, FormatError, Step1ParseError, TemplateError, decode_json
+from .errors import (
+    EmptyExamplesError, FormatError, SemchainError, Step1ParseError, TemplateError, decode_json,
+)
 from .ingest import SerializedTable
 from .semantic_model import parse_labels
 
@@ -107,7 +109,7 @@ def build_chain2_prompt(step1_answer: str, template: PromptTemplate | None = Non
     template = template or PromptTemplate.load()
     try:
         parse_labels(step1_answer)
-    except Exception as exc:
+    except SemchainError as exc:
         raise Step1ParseError(f"step1 answer is not a semantic_triples object: {exc}") from exc
     return _substitute(template.chain2, {"STEP1": step1_answer})
 

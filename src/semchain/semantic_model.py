@@ -47,10 +47,13 @@ class ClassInstance:
     @classmethod
     def parse(cls, text: str) -> "ClassInstance":
         match = _TRAILING_INDEX_RE.match(text)
-        if match:
-            name, index = match.group(1), int(match.group(2))
-        else:
-            name, index = text, 1
+        if not match:
+            return cls(text, 1)
+        name, digits = match.groups()
+        try:
+            index = int(digits)
+        except ValueError:  # more digits than Python converts to an int
+            raise InstanceParseError(f"instance {name!r} has a {len(digits)}-digit index") from None
         return cls(name, index)
 
 

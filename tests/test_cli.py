@@ -324,11 +324,18 @@ def test_bad_json_input_prints_one_error_and_exits_one(command, text, toy_dir, t
         ("config chain", {"chain": {"pruning_enabled": "no"}}),
         ("config chain", {"chain": {"chaining_enabled": "false"}}),
         ("config", {"max_workers": 2.5}),
+        ("provider corruption", {"provider": {"kind": "mock", "corruption": {"drop_triples": 2.5}}}),
+        ("provider corruption", {"provider": {"kind": "mock", "corruption": {"rename_properties": 1.5}}}),
+        ("provider corruption", {"provider": {"kind": "mock", "corruption": {"stages": "chain1"}}}),
+        ("provider", {"provider": {"kind": "http", "base_url": 5, "model_name": "m"}}),
+        ("provider", {"provider": {"kind": "http", "base_url": "x", "model_name": "m", "max_retries": 1.5}}),
     ],
     ids=[
         "chain-key", "chain-not-object", "provider-key", "provider-not-object",
         "corruption-key", "corruption-not-object", "config-key",
         "chain-flag-string-no", "chain-flag-string-false", "max-workers-float",
+        "corruption-drop-float", "corruption-rename-float", "corruption-stages-string",
+        "http-base-url-int", "http-retries-float",
     ],
 )
 def test_bad_config_mappings_exit_one(what, extra, toy_dir, tmp_path, capout):
@@ -364,6 +371,47 @@ def test_a_deeply_nested_reply_fails_only_its_source(monkeypatch, toy_dir, tmp_p
     assert {row["source_id"] for row in rows if row["error"]} == {"artists"}
     assert "nested too deeply" in (out / "sources" / "artists" / "error.txt").read_text()
     assert all(row["precision"] == "1.000000" for row in rows if row["source_id"] != "artists")
+
+
+def test_an_oversized_instance_index_fails_only_its_source(monkeypatch, toy_dir, tmp_path, capout):
+    from semchain import harness
+
+    make_provider = harness.make_provider
+    # More digits than Python converts to an int by default (4,300).
+    huge = "crm:E21_Person" + "1" * 5000
+
+    class _HugeIndexArtists:
+        def __init__(self, inner):
+            self.inner = inner
+
+        def complete(self, system, turns, *, tags=None):
+            reply = self.inner.complete(system, turns, tags=tags)
+            if (tags["source_id"], tags["stage"]) != ("artists", "chain2"):
+                return reply
+            link = [huge, "crm:P98i_was_born", "crm:E67_Birth1"]
+            doc = {"semantic_triples": [], "internal_link_triples": [link]}
+            return Completion(f"<Step2>{json.dumps(doc)}</Step2>", reply.usage)
+
+    monkeypatch.setattr(
+        harness, "make_provider", lambda spec, golds: _HugeIndexArtists(make_provider(spec, golds))
+    )
+    config = _write_config(toy_dir, tmp_path)
+    assert main(["experiment", "--config", str(config)]) == 2
+    out = tmp_path / "out"
+    with (out / "report.csv").open(newline="", encoding="utf-8") as handle:
+        rows = list(csv.DictReader(handle))
+    assert {row["source_id"] for row in rows if row["error"]} == {"artists"}
+    assert "InstanceParseError" in (out / "sources" / "artists" / "error.txt").read_text()
+    assert all(row["precision"] == "1.000000" for row in rows if row["source_id"] != "artists")
+
+
+@pytest.mark.parametrize("seeds", [",", "", " , "], ids=["comma", "empty", "blank"])
+def test_seeds_that_name_no_random_state_exit_one(seeds, toy_dir, tmp_path, capout):
+    config = _write_config(toy_dir, tmp_path)
+    assert main(["experiment", "--config", str(config), "--seeds", seeds]) == 1
+    err = capout().err
+    assert err.startswith("error: --seeds") and err.count("\n") == 1
+    assert not (tmp_path / "out").exists()
 
 
 def test_run_into_a_reused_directory_leaves_only_its_own_files(toy_dir, tmp_path, capout):

@@ -10,9 +10,11 @@ import pytest
 
 from semchain import (
     ChainConfig,
+    CorruptionSpec,
     ExperimentConfig,
     MockProvider,
     MockScript,
+    ProviderConfig,
     Table,
     load_gold_models,
     load_tables,
@@ -365,9 +367,8 @@ class TestExperiment:
             (sid, stage) for sid in split["test"] for stage in ("combined", "chain1", "chain2")
         )
 
-    def test_ablation_configurations_equal_standalone_runs(self, toy_config, toy_dir, tmp_path):
-        from semchain import ChainConfig
-
+    @pytest.mark.parametrize("strict", [False, True], ids=["lenient", "strict"])
+    def test_ablation_configurations_equal_standalone_runs(self, strict, toy_config, toy_dir, tmp_path):
         # Two test sources with the same table send the same prompts; each
         # must still be scored on its own reply.
         sources = tmp_path / "sources"
@@ -380,6 +381,7 @@ class TestExperiment:
             sources_dir=sources,
             out_dir=tmp_path / "ablation-run",
             provider={"kind": "mock", "corruption": corruption},
+            chain=ChainConfig(strict_ontology_validation=strict),
         )
         run_ablation(config)
         ablation = Path(config.out_dir) / "ablation"
@@ -388,12 +390,9 @@ class TestExperiment:
             != (ablation / "chaining+prune" / "sources" / sid / "final_model.json").read_bytes()
             for sid in split.test
         )
-        chains = {
-            "single-prompt": ChainConfig(chaining_enabled=False, pruning_enabled=False),
-            "chaining": ChainConfig(chaining_enabled=True, pruning_enabled=False),
-            "chaining+prune": ChainConfig(chaining_enabled=True, pruning_enabled=True),
-        }
-        for name, chain in chains.items():
+        arms = {"single-prompt": (False, False), "chaining": (True, False), "chaining+prune": (True, True)}
+        for name, (chaining, pruning) in arms.items():
+            chain = dataclasses.replace(config.chain, chaining_enabled=chaining, pruning_enabled=pruning)
             alone = dataclasses.replace(config, chain=chain, out_dir=tmp_path / "alone" / name)
             run_experiment(alone)
             a, b = ablation / name, Path(alone.out_dir)
@@ -404,6 +403,7 @@ class TestExperiment:
                     meta = json.loads((a / rel).read_text())
                     assert ("replies" in meta) == (name == "chaining+prune")
                     meta.pop("replies", None)
+                    assert meta["chain"]["strict_ontology_validation"] is strict
                     assert meta == json.loads((b / rel).read_text())
                 else:
                     assert _without_latency(a / rel) == _without_latency(b / rel), (name, rel)
@@ -461,6 +461,30 @@ class TestExperiment:
 def test_ill_typed_config_values_raise_type_error(field, value, toy_config):
     with pytest.raises(TypeError, match=field):
         toy_config(**{field: value})
+
+
+@pytest.mark.parametrize(
+    "cls, field, value",
+    [
+        (ProviderConfig, "base_url", 5),
+        (ProviderConfig, "model_name", None),
+        (ProviderConfig, "api_key_env", ["KEY"]),
+        (ProviderConfig, "max_tokens", 4096.0),
+        (ProviderConfig, "max_retries", 1.5),
+        (ProviderConfig, "requests_per_minute", True),
+        (ProviderConfig, "temperature", "0"),
+        (ProviderConfig, "timeout", False),
+        (CorruptionSpec, "drop_triples", 2.5),
+        (CorruptionSpec, "inject_instances", True),
+        (CorruptionSpec, "rename_properties", 1.5),
+        (CorruptionSpec, "seed", "7"),
+        (CorruptionSpec, "stages", "chain1"),
+    ],
+)
+def test_ill_typed_provider_settings_raise_type_error(cls, field, value):
+    params = {"base_url": "http://localhost", "model_name": "m"} if cls is ProviderConfig else {}
+    with pytest.raises(TypeError, match=field):
+        cls(**{**params, field: value})
 
 
 @pytest.mark.parametrize("field", ["chaining_enabled", "pruning_enabled", "strict_ontology_validation"])

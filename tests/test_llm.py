@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import hashlib
 import json
 import time
 from dataclasses import dataclass
@@ -170,6 +171,31 @@ class TestMockProvider:
         clean = provider.complete("s", [], tags={"source_id": "artists", "stage": "chain2"})
         model = parse_model(extract_tagged_json(clean.text, "Step2"))
         assert model == toy_golds["artists"]
+
+    def test_a_sources_replies_do_not_depend_on_the_other_golds(self, toy_golds):
+        spec = CorruptionSpec(drop_triples=1, inject_instances=2, rename_properties=1, seed=5)
+        everyone = MockScript.from_gold(toy_golds, spec).responses
+        for sid, gold in toy_golds.items():
+            alone = MockScript.from_gold({sid: gold}, spec).responses
+            assert alone == {key: text for key, text in everyone.items() if key[0] == sid}
+            assert len(alone) == 3
+
+    def test_two_builds_are_equal(self, toy_golds):
+        spec = CorruptionSpec(drop_triples=2, inject_instances=3, rename_properties=2, seed=11)
+        assert MockScript.from_gold(toy_golds, spec) == MockScript.from_gold(toy_golds, spec)
+
+    def test_corrupted_replies_match_their_pinned_digest(self, toy_golds):
+        # Pins the seeding, the damage, its rendering and, in a combined
+        # reply, Step1 drawing from the stage's RNG before Step2.
+        spec = CorruptionSpec(drop_triples=1, inject_instances=2, rename_properties=1, seed=5)
+        provider = MockProvider(MockScript.from_gold(toy_golds, spec))
+        texts = [
+            provider.complete("s", [], tags={"source_id": sid, "stage": stage}).text
+            for sid in sorted(toy_golds)
+            for stage in ("chain1", "chain2", "combined")
+        ]
+        digest = hashlib.sha256(json.dumps(texts).encode("utf-8")).hexdigest()
+        assert digest == "9b708498e832fa72f584015e454d92014414c9f24fc6f0d16a6619b3eaa4d252"
 
     def test_single_instance_injection_rejected(self):
         with pytest.raises(ValueError):

@@ -56,6 +56,11 @@ class TestInstances:
         with pytest.raises(InstanceParseError):
             ClassInstance("", 1)
 
+    def test_an_index_too_long_for_int_is_a_parse_error(self):
+        # Python converts at most 4,300 digits to an int by default.
+        with pytest.raises(InstanceParseError, match="'crm:E21_Person' has a 5000-digit index"):
+            ClassInstance.parse("crm:E21_Person" + "7" * 5000)
+
 
 class TestParseSerialize:
     def test_parse_time_span_annotation(self):

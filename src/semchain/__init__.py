@@ -86,9 +86,11 @@ from .semantic_model import (
     SemanticTriple,
     depth,
     lint_gold,
+    model_doc,
     parse_labels,
     parse_model,
     prune,
+    read_model,
     serialize_labels,
     serialize_model,
 )

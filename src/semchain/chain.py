@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import json
 import time
 from dataclasses import dataclass
 from typing import Mapping
@@ -10,9 +9,7 @@ from typing import Mapping
 from . import ontology as onto_mod
 from . import prompting
 from . import semantic_model as sm
-from .errors import (
-    DanglingNameError, NoAnswerError, SchemaError, SemchainError, Step1ParseError, decode_json,
-)
+from .errors import DanglingNameError, NoAnswerError, SchemaError, SemchainError, Step1ParseError
 from .ingest import DEFAULT_RECORD_CAP, Table, serialize_table
 from .llm import (
     STAGE_CHAIN1,
@@ -97,15 +94,16 @@ def run_chain(
     else:
         stage, prompt = STAGE_COMBINED, prompting.build_combined_prompt(serialized, templates)
     reply = ask(stage, (Message("user", prompt),))
-    step1_json = _extract(reply, "Step1", stage)
-    labels = _parse_labels(step1_json, stage)
+    step1_json, step1 = _extract(reply, "Step1", stage)
+    labels = _parse_labels(step1, stage)
     if config.chaining_enabled:
         if not labels.semantic_triples:
             notes.append("chain1 produced zero labels; continuing to chain2 anyway")
         prompt = prompting.build_chain2_prompt(step1_json, templates)
         stage = STAGE_CHAIN2
         reply = ask(stage, transcripts[STAGE_CHAIN1].turns + (Message("user", prompt),))
-    raw_model = _parse_step2(_extract(reply, "Step2", stage), labels, notes)
+    _, step2 = _extract(reply, "Step2", stage)
+    raw_model = _parse_step2(step2, labels, notes)
 
     model = raw_model
     if config.strict_ontology_validation:
@@ -123,30 +121,30 @@ def run_chain(
 
 # --- internals -----------------------------------------------------------------
 
-def _extract(reply: str, tag: str, stage: str) -> str:
+def _extract(reply: str, tag: str, stage: str) -> tuple[str, object]:
     try:
         return extract_tagged_json(reply, tag)
     except NoAnswerError as exc:
         raise NoAnswerError(f"{stage}: {exc}") from exc
 
 
-def _parse_labels(step1_json: str, stage: str) -> sm.SemanticModel:
+def _parse_labels(step1: object, stage: str) -> sm.SemanticModel:
     try:
-        return sm.parse_labels(step1_json)
+        return sm.read_model(step1, links=False)
     except SemchainError as exc:
         raise Step1ParseError(f"{stage}: {exc}") from exc
 
 
-def _parse_step2(step2_json: str, labels: sm.SemanticModel, notes: list[str]) -> sm.SemanticModel:
-    doc = decode_json(step2_json, "Step2 answer")
-    if not isinstance(doc, dict):
+def _parse_step2(step2: object, labels: sm.SemanticModel, notes: list[str]) -> sm.SemanticModel:
+    if not isinstance(step2, dict):
         raise SchemaError("Step2 answer is not a JSON object")
-    if sm.SEMANTIC_TRIPLES_KEY not in doc:
-        # The graph answer is authoritative, but labeling evaluation needs the
-        # label triples present, so fall back to the chain1 labels.
-        doc[sm.SEMANTIC_TRIPLES_KEY] = [t.as_list() for t in sorted(labels.semantic_triples)]
-        notes.append("chain2 omitted semantic_triples; merged chain1 labels")
-    return sm.parse_model(json.dumps(doc))
+    if sm.SEMANTIC_TRIPLES_KEY in step2:
+        return sm.read_model(step2)
+    # The graph answer is authoritative, but labeling evaluation needs the
+    # label triples present, so fall back to the chain1 labels.
+    notes.append("chain2 omitted semantic_triples; merged chain1 labels")
+    links = sm.read_model({**step2, sm.SEMANTIC_TRIPLES_KEY: []}).internal_link_triples
+    return sm.SemanticModel(labels.semantic_triples, links)
 
 
 def _drop_illegal_links(model: sm.SemanticModel, ontology: onto_mod.Ontology):

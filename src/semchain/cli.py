@@ -189,11 +189,8 @@ def _cmd_eval(args) -> int:
 def _read_model_file(path: Path) -> sm.SemanticModel:
     # Accepts full models and the labels-only files the harness writes, which
     # have no links field; a model whose links field is malformed is an error.
-    text = path.read_text(encoding="utf-8")
-    doc = decode_json(text, "model")
-    if isinstance(doc, dict) and sm.INTERNAL_LINK_TRIPLES_KEY not in doc:
-        return sm.parse_labels(text)
-    return sm.parse_model(text)
+    doc = decode_json(path.read_text(encoding="utf-8"), "model")
+    return sm.read_model(doc, links=not isinstance(doc, dict) or sm.INTERNAL_LINK_TRIPLES_KEY in doc)
 
 
 def _cmd_lint_gold(args) -> int:

@@ -547,7 +547,7 @@ def _write_report_csv(report: ev.EvalReport, path: Path) -> None:
         writer = csv.DictWriter(handle, fieldnames=fields)
         writer.writeheader()
         for row in report.rows:
-            record = dataclasses.asdict(row)
+            record = {name: getattr(row, name) for name in fields}
             record["precision"] = f"{row.precision:.6f}"
             record["recall"] = f"{row.recall:.6f}"
             record["latency_ms"] = f"{row.latency_ms:.3f}"

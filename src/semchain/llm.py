@@ -34,6 +34,7 @@ ALL_STAGES = frozenset({STAGE_CHAIN1, STAGE_CHAIN2, STAGE_COMBINED})
 _INJECTED_CLASS = "PhantomNode"
 _INJECTED_PROPERTY = "phantom_link"
 _RENAME_SUFFIX = "_renamed"
+_MOCK_REASONING = "Working through the attributes against the ontology, one at a time, gives:"
 
 
 def naive_token_count(text: str) -> int:
@@ -307,7 +308,6 @@ class MockScript:
         cls,
         golds: Mapping[str, sm.SemanticModel],
         corruption: CorruptionSpec | None = None,
-        reasoning: str = "Working through the attributes against the ontology, one at a time, gives:",
     ) -> "MockScript":
         """Script each gold model as its source's replies.
 
@@ -316,16 +316,16 @@ class MockScript:
         Step1 draws from it before Step2.
         """
 
-        def step(tag: str, body: str, rng: random.Random | None) -> str:
+        def step(tag: str, doc: dict, rng: random.Random | None) -> str:
             if rng is not None:
-                doc = _corrupt_doc(json.loads(body), corruption, rng)
-                body = json.dumps(doc, indent=2, ensure_ascii=False)
-            return f"{reasoning}\n<{tag}>\n{body}\n</{tag}>"
+                doc = _corrupt_doc(doc, corruption, rng)
+            body = json.dumps(doc, indent=2, ensure_ascii=False)
+            return f"{_MOCK_REASONING}\n<{tag}>\n{body}\n</{tag}>"
 
         responses: dict[tuple[str, str], str] = {}
         for source_id, gold in golds.items():
-            labels = ("Step1", sm.serialize_labels(gold))
-            model = ("Step2", sm.serialize_model(gold))
+            labels = ("Step1", sm.model_doc(gold, links=False))
+            model = ("Step2", sm.model_doc(gold))
             stage_steps = {STAGE_CHAIN1: (labels,), STAGE_CHAIN2: (model,), STAGE_COMBINED: (labels, model)}
             for stage, steps in stage_steps.items():
                 rng = None
@@ -392,19 +392,22 @@ def _corrupt_doc(doc: dict, spec: CorruptionSpec, rng: random.Random) -> dict:
 # --- answer extraction ----------------------------------------------------------
 
 
-def extract_tagged_json(response: str, tag: str) -> str:
+def extract_tagged_json(response: str, tag: str) -> tuple[str, object]:
     """Pull the machine-readable answer out of a free-form reply.
 
-    Returns the content of the last well-formed <tag>...</tag> region that
-    parses as JSON, code fences trimmed. Without usable tags, falls back to
-    the last balanced JSON object anywhere in the response.
+    Returns the answer text and its decoded JSON value. The answer is the
+    content of the last well-formed <tag>...</tag> region that parses as
+    JSON, code fences trimmed. Without usable tags, falls back to the last
+    balanced JSON object anywhere in the response.
     """
     regions = re.findall(rf"<{re.escape(tag)}>(.*?)</{re.escape(tag)}>", response, re.DOTALL)
     try:
         for region in reversed(regions):
             candidate = _strip_fences(region.strip())
-            if _parses(candidate):
-                return candidate
+            try:
+                return candidate, json.loads(candidate)
+            except ValueError:
+                continue
         last = _last_balanced_object(response)
     except RecursionError:
         # Too deep fails at once: retrying from the next "{" would rescan the nesting.
@@ -423,15 +426,7 @@ def _strip_fences(text: str) -> str:
     return "\n".join(lines).strip()
 
 
-def _parses(text: str) -> bool:
-    try:
-        json.loads(text)
-    except ValueError:
-        return False
-    return True
-
-
-def _last_balanced_object(text: str) -> str | None:
+def _last_balanced_object(text: str) -> tuple[str, object] | None:
     decoder = json.JSONDecoder()
     last = None
     pos = 0
@@ -440,9 +435,9 @@ def _last_balanced_object(text: str) -> str | None:
         if start < 0:
             return last
         try:
-            _, end = decoder.raw_decode(text, start)
+            value, end = decoder.raw_decode(text, start)
         except ValueError:
             pos = start + 1
             continue
-        last = text[start:end]
+        last = text[start:end], value
         pos = end

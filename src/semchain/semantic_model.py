@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import json
-import re
 from collections import deque
 from dataclasses import dataclass
 from typing import Iterable
@@ -19,8 +18,6 @@ BIRTH_CLASS = "crm:E67_Birth"
 DEATH_CLASS = "crm:E69_Death"
 TIME_SPAN_CLASS = "crm:E52_Time-Span"
 HAS_TIME_SPAN_PROPERTY = "crm:P4_has_time-span"
-
-_TRAILING_INDEX_RE = re.compile(r"^(.*?)(\d+)$")
 
 
 @dataclass(frozen=True, order=True)
@@ -46,10 +43,16 @@ class ClassInstance:
 
     @classmethod
     def parse(cls, text: str) -> "ClassInstance":
-        match = _TRAILING_INDEX_RE.match(text)
-        if not match:
+        # The index is the trailing run of decimal digits, found by scanning back
+        # so that a long run costs linear time. As in a `^(.*?)(\d+)$` match, one
+        # final newline is skipped, and a text holding another one is all class name.
+        body = text[:-1] if text.endswith("\n") else text
+        cut = len(body)
+        while cut and body[cut - 1].isdecimal():
+            cut -= 1
+        name, digits = body[:cut], body[cut:]
+        if not digits or "\n" in name:
             return cls(text, 1)
-        name, digits = match.groups()
         try:
             index = int(digits)
         except ValueError:  # more digits than Python converts to an int
@@ -126,47 +129,56 @@ class LintReport:
         return not self.diagnostics
 
 
-def parse_model(text: str) -> SemanticModel:
-    """Read a model from the two-array JSON form; both fields are required."""
-    doc = _load_object(text)
-    for key in (SEMANTIC_TRIPLES_KEY, INTERNAL_LINK_TRIPLES_KEY):
+def read_model(doc, *, links: bool = True) -> SemanticModel:
+    """Build a model from its decoded JSON document, the two-array form.
+
+    With `links` both fields are required; without, the document is a
+    labeling answer: `semantic_triples` is required and links are ignored.
+    """
+    if not isinstance(doc, dict):
+        raise SchemaError("model JSON must be an object")
+    for key in (SEMANTIC_TRIPLES_KEY, INTERNAL_LINK_TRIPLES_KEY) if links else (SEMANTIC_TRIPLES_KEY,):
         if key not in doc:
-            raise SchemaError(f"model JSON misses the field {key!r}")
+            raise SchemaError(f"{'model' if links else 'labels'} JSON misses the field {key!r}")
     sems = frozenset(
         SemanticTriple(ClassInstance.parse(s), p, a)
         for s, p, a in _string_triples(doc[SEMANTIC_TRIPLES_KEY], SEMANTIC_TRIPLES_KEY)
     )
-    links = frozenset(
+    if not links:
+        return SemanticModel(sems, frozenset())
+    link_triples = frozenset(
         InternalLinkTriple(ClassInstance.parse(s), p, ClassInstance.parse(o))
         for s, p, o in _string_triples(doc[INTERNAL_LINK_TRIPLES_KEY], INTERNAL_LINK_TRIPLES_KEY)
     )
-    return SemanticModel(sems, links)
+    return SemanticModel(sems, link_triples)
+
+
+def model_doc(model: SemanticModel, *, links: bool = True) -> dict:
+    """The JSON document of a model, arrays canonically sorted; without
+    `links`, the labels-only document."""
+    doc = {SEMANTIC_TRIPLES_KEY: [t.as_list() for t in sorted(model.semantic_triples)]}
+    if links:
+        doc[INTERNAL_LINK_TRIPLES_KEY] = [t.as_list() for t in sorted(model.internal_link_triples)]
+    return doc
+
+
+def parse_model(text: str) -> SemanticModel:
+    """Read a model from JSON text; both fields are required."""
+    return read_model(decode_json(text, "model"))
 
 
 def parse_labels(text: str) -> SemanticModel:
     """Read a labeling answer: `semantic_triples` required, links ignored."""
-    doc = _load_object(text)
-    if SEMANTIC_TRIPLES_KEY not in doc:
-        raise SchemaError(f"labels JSON misses the field {SEMANTIC_TRIPLES_KEY!r}")
-    sems = frozenset(
-        SemanticTriple(ClassInstance.parse(s), p, a)
-        for s, p, a in _string_triples(doc[SEMANTIC_TRIPLES_KEY], SEMANTIC_TRIPLES_KEY)
-    )
-    return SemanticModel(sems, frozenset())
+    return read_model(decode_json(text, "model"), links=False)
 
 
 def serialize_model(model: SemanticModel) -> str:
     """Deterministic model JSON with both arrays canonically sorted."""
-    doc = {
-        SEMANTIC_TRIPLES_KEY: [t.as_list() for t in sorted(model.semantic_triples)],
-        INTERNAL_LINK_TRIPLES_KEY: [t.as_list() for t in sorted(model.internal_link_triples)],
-    }
-    return json.dumps(doc, indent=2, ensure_ascii=False)
+    return json.dumps(model_doc(model), indent=2, ensure_ascii=False)
 
 
 def serialize_labels(model: SemanticModel) -> str:
-    doc = {SEMANTIC_TRIPLES_KEY: [t.as_list() for t in sorted(model.semantic_triples)]}
-    return json.dumps(doc, indent=2, ensure_ascii=False)
+    return json.dumps(model_doc(model, links=False), indent=2, ensure_ascii=False)
 
 
 def prune(model: SemanticModel, attributes: Iterable[str]) -> SemanticModel:
@@ -305,13 +317,6 @@ def _lint_birth_death_numbering(model: SemanticModel) -> LintDiagnostic | None:
 
 
 # --- internals ---------------------------------------------------------------
-
-def _load_object(text: str) -> dict:
-    doc = decode_json(text, "model")
-    if not isinstance(doc, dict):
-        raise SchemaError("model JSON must be an object")
-    return doc
-
 
 def _string_triples(entries, field: str) -> list[tuple[str, str, str]]:
     if not isinstance(entries, list):

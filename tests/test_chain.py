@@ -100,7 +100,8 @@ class TestCombinedRuns:
         assert result.final_model == toy_golds["artists"]
         reply = result.transcripts["combined"].turns[-1].content
         for tag in ("Step1", "Step2"):
-            json.loads(extract_tagged_json(reply, tag))
+            answer, value = extract_tagged_json(reply, tag)
+            assert json.loads(answer) == value
 
 
 class _ScriptedProvider:
@@ -140,6 +141,15 @@ class TestRobustness:
         result = run_chain(SYSTEM, table, ChainConfig(), _ScriptedProvider(replies))
         assert result.labels.attributes() <= set(table.attributes)
         assert result.labels.semantic_triples == toy_golds["artists"].semantic_triples
+
+    def test_step1_links_are_ignored_even_when_malformed(self, toy_tables, toy_golds):
+        gold = toy_golds["artists"]
+        labels_doc = {**json.loads(serialize_labels(gold)), "internal_link_triples": "oops"}
+        replies = [f"<Step1>{json.dumps(labels_doc)}</Step1>", f"<Step2>{serialize_model(gold)}</Step2>"]
+        result = run_chain(SYSTEM, toy_tables["artists"], ChainConfig(), _ScriptedProvider(replies))
+        assert result.labels.semantic_triples == gold.semantic_triples
+        assert not result.labels.internal_link_triples
+        assert result.final_model == gold
 
     def test_zero_labels_proceeds_with_note(self, toy_tables):
         replies = [

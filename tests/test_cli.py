@@ -79,6 +79,17 @@ def test_eval_rejects_a_model_with_malformed_links(toy_dir, tmp_path, capout):
     assert "precision 1.000" in capout().out
 
 
+@pytest.mark.parametrize("text", ["[]", "3", '"semantic_triples"', "null"])
+def test_eval_rejects_a_file_that_is_no_object(text, toy_dir, tmp_path, capout):
+    bad = tmp_path / "bad.json"
+    bad.write_text(text, encoding="utf-8")
+    gold = str(toy_dir / "gold" / "artists.json")
+    for argv in (["--gold", str(bad), "--pred", gold], ["--gold", gold, "--pred", str(bad)]):
+        assert main(["eval", *argv]) == 1
+        out = capout()
+        assert (out.out, out.err) == ("", "error: model JSON must be an object\n")
+
+
 def test_experiment_with_mock_provider_completes_offline(toy_dir, tmp_path, capout):
     config = _write_config(toy_dir, tmp_path)
     code = main(["experiment", "--config", str(config)])

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import csv
 import dataclasses
+import hashlib
 import json
 import shutil
 from pathlib import Path
@@ -10,6 +11,7 @@ import pytest
 
 from semchain import (
     ChainConfig,
+    Completion,
     CorruptionSpec,
     ExperimentConfig,
     MockProvider,
@@ -29,6 +31,7 @@ from semchain.evaluation import LABELING, MODELING
 from helpers import DEEPLY_NESTED
 
 IDS_28 = [f"s{i:02d}" for i in range(28)]
+TOY_CORRUPTION = {"drop_triples": 1, "inject_instances": 2, "rename_properties": 1, "seed": 7}
 
 
 def _without_latency(path: Path):
@@ -40,6 +43,32 @@ def _without_latency(path: Path):
         lines = [json.loads(line) for line in path.read_text(encoding="utf-8").splitlines()]
         return [{k: v for k, v in line.items() if k != "latency_ms"} for line in lines]
     return path.read_bytes()
+
+
+def _artifact_digest(root: Path) -> str:
+    """sha256 over the path and latency-free content of every file under `root`."""
+    digest = hashlib.sha256()
+    for path in sorted(p for p in root.rglob("*") if p.is_file()):
+        content = _without_latency(path)
+        if not isinstance(content, bytes):
+            content = json.dumps(content, ensure_ascii=False).encode("utf-8")
+        digest.update(f"{path.relative_to(root).as_posix()}\0{len(content)}\0".encode("utf-8") + content)
+    return digest.hexdigest()
+
+
+class _ReplacedReply:
+    """The toy mock, with one (source, stage) answered by `text` instead."""
+
+    def __init__(self, golds, key, text):
+        self.inner = MockProvider(MockScript.from_gold(golds))
+        self.key = key
+        self.text = text
+
+    def complete(self, system, turns, *, tags=None):
+        reply = self.inner.complete(system, turns, tags=tags)
+        if (tags["source_id"], tags["stage"]) == self.key:
+            return Completion(self.text, reply.usage)
+        return reply
 
 
 class TestSplits:
@@ -150,6 +179,39 @@ class TestExperiment:
         assert files == sorted(p.relative_to(b) for p in b.rglob("*") if p.is_file())
         for name in files:
             assert _without_latency(a / name) == _without_latency(b / name), name
+
+    @pytest.mark.parametrize(
+        "answer, error",
+        [
+            ("[1, 2]", "SchemaError: Step2 answer is not a JSON object"),
+            ('{"semantic_triples": []}', "SchemaError: model JSON misses the field 'internal_link_triples'"),
+            ("{}", "SchemaError: model JSON misses the field 'internal_link_triples'"),
+        ],
+        ids=["array", "no-links", "no-fields"],
+    )
+    def test_a_bad_step2_answer_fails_only_its_source(self, answer, error, toy_config, toy_golds):
+        config = toy_config()
+        provider = _ReplacedReply(toy_golds, ("artists", "chain2"), f"<Step2>{answer}</Step2>")
+        report = run_experiment(config, provider)
+        assert {row.source_id: row.error for row in report.rows if row.error} == {"artists": error}
+        assert all(row.precision == 1.0 for row in report.rows if not row.error)
+        sources = Path(config.out_dir) / "sources"
+        assert (sources / "artists" / "error.txt").read_text(encoding="utf-8") == error + "\n"
+
+    @pytest.mark.parametrize(
+        "corruption, expected",
+        [
+            (None, "d1c23afaf06f80dbef63df79360658ceffbfd1b785d82c21131e9d0113077e3d"),
+            (TOY_CORRUPTION, "92222b7fd4cb5f0f2536fe2af502b192fbc3a514ef2455df6149f0d755847679"),
+        ],
+        ids=["clean", "corrupted"],
+    )
+    def test_toy_artifacts_match_their_pinned_digest(self, corruption, expected, toy_config, tmp_path):
+        # Pins every file an experiment and an ablation write, bar wall-clock fields.
+        provider = {"kind": "mock", "corruption": corruption} if corruption else {"kind": "mock"}
+        run_experiment(toy_config(out_dir=tmp_path / "pinned" / "experiment", provider=provider))
+        run_ablation(toy_config(out_dir=tmp_path / "pinned" / "ablation", provider=provider))
+        assert _artifact_digest(tmp_path / "pinned") == expected
 
     def test_failures_become_zero_rows(self, toy_config, toy_golds):
         # A script with one source missing makes that source fail while the

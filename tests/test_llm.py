@@ -30,10 +30,17 @@ from semchain.errors import (
 from helpers import bfs_connected_instances
 
 
+def _extracted(text: str, tag: str):
+    """The decoded answer, checked against a decode of the answer text."""
+    answer, value = extract_tagged_json(text, tag)
+    assert json.loads(answer) == value
+    return value
+
+
 class TestExtraction:
     def test_tagged_answer(self):
         text = 'thinking...\n<Step1>{"semantic_triples": []}</Step1>'
-        assert json.loads(extract_tagged_json(text, "Step1")) == {"semantic_triples": []}
+        assert _extracted(text, "Step1") == {"semantic_triples": []}
 
     def test_last_tagged_block_wins(self):
         text = (
@@ -41,26 +48,26 @@ class TestExtraction:
             'wait, correcting myself:\n'
             '<Step2>{"semantic_triples": [["A1", "p", "x"]], "internal_link_triples": []}</Step2>'
         )
-        extracted = json.loads(extract_tagged_json(text, "Step2"))
+        extracted = _extracted(text, "Step2")
         assert extracted["semantic_triples"] == [["A1", "p", "x"]]
 
     def test_fenced_json_inside_tags(self):
         text = '<Step1>\n```json\n{"semantic_triples": []}\n```\n</Step1>'
-        assert json.loads(extract_tagged_json(text, "Step1")) == {"semantic_triples": []}
+        assert _extracted(text, "Step1") == {"semantic_triples": []}
 
     def test_untagged_fenced_fallback(self):
         text = 'Here are the labels:\n```json\n{"semantic_triples": [["A1", "p", "x"]]}\n```\n'
-        assert json.loads(extract_tagged_json(text, "Step1")) == {
+        assert _extracted(text, "Step1") == {
             "semantic_triples": [["A1", "p", "x"]]
         }
 
     def test_fallback_takes_last_object_not_inner_one(self):
         text = '{"first": 1} and later {"outer": {"inner": 2}}'
-        assert json.loads(extract_tagged_json(text, "Step1")) == {"outer": {"inner": 2}}
+        assert _extracted(text, "Step1") == {"outer": {"inner": 2}}
 
     def test_malformed_tag_content_falls_back(self):
         text = '<Step1>not json</Step1> trailing {"semantic_triples": []}'
-        assert json.loads(extract_tagged_json(text, "Step1")) == {"semantic_triples": []}
+        assert _extracted(text, "Step1") == {"semantic_triples": []}
 
     def test_no_answer_raises(self):
         with pytest.raises(NoAnswerError):
@@ -100,10 +107,9 @@ class TestExtraction:
             text = "\n".join(rng.choice(pieces) for _ in range(rng.randint(1, 8)))
             text += "".join(rng.choices(string.printable[:70], k=rng.randint(0, 20)))
             try:
-                extracted = extract_tagged_json(text, "Step1")
+                _extracted(text, "Step1")
             except NoAnswerError:
                 continue
-            json.loads(extracted)
 
 
 class TestMockProvider:
@@ -112,7 +118,7 @@ class TestMockProvider:
         reply = provider.complete(
             "sys", [Message("user", "u")], tags={"source_id": "artists", "stage": "chain2"}
         )
-        model = parse_model(extract_tagged_json(reply.text, "Step2"))
+        model = parse_model(extract_tagged_json(reply.text, "Step2")[0])
         assert model == toy_golds["artists"]
         assert provider.calls == [("artists", "chain2")]
 
@@ -137,7 +143,7 @@ class TestMockProvider:
         reply = provider.complete(
             "s", [], tags={"source_id": "artworks", "stage": "chain2"}
         )
-        model = parse_model(extract_tagged_json(reply.text, "Step2"))
+        model = parse_model(extract_tagged_json(reply.text, "Step2")[0])
         assert model.size() == gold.size() - 2
         assert model.semantic_triples <= gold.semantic_triples
         assert model.internal_link_triples <= gold.internal_link_triples
@@ -148,7 +154,7 @@ class TestMockProvider:
         reply = provider.complete(
             "s", [], tags={"source_id": "artists", "stage": "chain2"}
         )
-        model = parse_model(extract_tagged_json(reply.text, "Step2"))
+        model = parse_model(extract_tagged_json(reply.text, "Step2")[0])
         gold = toy_golds["artists"]
         assert len(model.instances()) == len(gold.instances()) + 2
         attrs = set(toy_tables["artists"].attributes)
@@ -161,7 +167,7 @@ class TestMockProvider:
         spec = CorruptionSpec(rename_properties=1, seed=5)
         provider = MockProvider(MockScript.from_gold(toy_golds, spec))
         reply = provider.complete("s", [], tags={"source_id": "collection", "stage": "chain1"})
-        labels = json.loads(extract_tagged_json(reply.text, "Step1"))
+        labels = _extracted(reply.text, "Step1")
         renamed = [t for t in labels["semantic_triples"] if t[1].endswith("_renamed")]
         assert len(renamed) == 1
 
@@ -169,7 +175,7 @@ class TestMockProvider:
         spec = CorruptionSpec(drop_triples=1, stages=frozenset({"combined"}), seed=3)
         provider = MockProvider(MockScript.from_gold(toy_golds, spec))
         clean = provider.complete("s", [], tags={"source_id": "artists", "stage": "chain2"})
-        model = parse_model(extract_tagged_json(clean.text, "Step2"))
+        model = parse_model(extract_tagged_json(clean.text, "Step2")[0])
         assert model == toy_golds["artists"]
 
     def test_a_sources_replies_do_not_depend_on_the_other_golds(self, toy_golds):

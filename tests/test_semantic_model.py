@@ -2,6 +2,8 @@ from __future__ import annotations
 
 import json
 import random
+import re
+import time
 
 import pytest
 
@@ -60,6 +62,40 @@ class TestInstances:
         # Python converts at most 4,300 digits to an int by default.
         with pytest.raises(InstanceParseError, match="'crm:E21_Person' has a 5000-digit index"):
             ClassInstance.parse("crm:E21_Person" + "7" * 5000)
+
+    def test_a_long_digit_run_parses_in_linear_time(self):
+        started = time.perf_counter()
+        assert ClassInstance.parse("1" * 50_000 + "a") == ClassInstance("1" * 50_000 + "a", 1)
+        with pytest.raises(InstanceParseError, match="'a' has a 50000-digit index"):
+            ClassInstance.parse("a" + "1" * 50_000)
+        assert time.perf_counter() - started < 1.0
+
+    def test_parse_agrees_with_the_trailing_digits_regex(self):
+        # The regex the parser replaced; it takes time quadratic in a digit run.
+        def by_regex(text):
+            match = re.match(r"^(.*?)(\d+)$", text)
+            if not match:
+                return ClassInstance(text, 1)
+            name, digits = match.groups()
+            try:
+                index = int(digits)
+            except ValueError:
+                raise InstanceParseError(f"instance {name!r} has a {len(digits)}-digit index") from None
+            return ClassInstance(name, index)
+
+        def outcome(parse, text):
+            try:
+                return parse(text)
+            except InstanceParseError as exc:
+                return f"error: {exc}"
+
+        # ASCII digits, Unicode decimal digits (which count) and superscripts (which do not).
+        alphabet = "ab:_-" + "0123456789" + "\u0663\u096b\uff17" + "\u00b2\u00b3" + "\n"
+        rng = random.Random(9)
+        names = ["".join(rng.choices(alphabet, k=rng.randint(0, 12))) for _ in range(5000)]
+        names += ["a" + "\u0663" * 4301, "a" + "1" * 4300, "\u00b2" * 3 + "7", "x12\n", "x\n1"]
+        for text in names:
+            assert outcome(ClassInstance.parse, text) == outcome(by_regex, text), repr(text)
 
 
 class TestParseSerialize:

@@ -29,6 +29,7 @@ from .harness import (
     load_gold_models,
     load_tables,
     prepare_experiment,
+    read_model_file,
     read_table,
     run_ablation,
     run_experiment,

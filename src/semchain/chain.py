@@ -9,7 +9,14 @@ from typing import Mapping
 from . import ontology as onto_mod
 from . import prompting
 from . import semantic_model as sm
-from .errors import DanglingNameError, NoAnswerError, SchemaError, SemchainError, Step1ParseError
+from .errors import (
+    DanglingNameError,
+    NoAnswerError,
+    SchemaError,
+    SemchainError,
+    Step1ParseError,
+    require_types,
+)
 from .ingest import DEFAULT_RECORD_CAP, Table, serialize_table
 from .llm import (
     STAGE_CHAIN1,
@@ -29,10 +36,7 @@ class ChainConfig:
     strict_ontology_validation: bool = False
 
     def __post_init__(self) -> None:
-        for name in ("chaining_enabled", "pruning_enabled", "strict_ontology_validation"):
-            value = getattr(self, name)
-            if not isinstance(value, bool):
-                raise TypeError(f"{name} must be true or false, got {value!r}")
+        require_types(self, ("chaining_enabled", "pruning_enabled", "strict_ontology_validation"), bool)
 
 
 @dataclass(frozen=True)

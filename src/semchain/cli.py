@@ -12,8 +12,8 @@ from . import harness
 from . import ontology as onto_mod
 from . import semantic_model as sm
 from .chain import ChainConfig, run_chain
-from .errors import SemchainError, decode_json
-from .ingest import SourceFormat, parse_source, serialize_table
+from .errors import SemchainError
+from .ingest import DEFAULT_RECORD_CAP, SourceFormat, parse_source, serialize_table
 from .llm import MockProvider, MockScript
 
 EXIT_OK = 0
@@ -56,7 +56,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--mock-gold", type=Path, required=True, help="gold model the mock provider replays")
     p.add_argument("--ontology", type=Path)
     p.add_argument("--out", type=Path, required=True)
-    p.add_argument("--record-cap", type=int, default=3)
+    p.add_argument("--record-cap", type=int, default=DEFAULT_RECORD_CAP)
     p.add_argument("--no-chaining", action="store_true")
     p.add_argument("--no-pruning", action="store_true")
     p.add_argument("--strict", action="store_true")
@@ -132,7 +132,7 @@ def _cmd_run(args) -> int:
     ontology = None
     if args.ontology:
         ontology = onto_mod.parse_ontology(args.ontology.read_text(encoding="utf-8"))
-    gold = sm.parse_model(args.mock_gold.read_text(encoding="utf-8"))
+    gold = harness.read_model_file(args.mock_gold)
     provider = MockProvider(MockScript.from_gold({table.source_id: gold}))
     config = ChainConfig(
         chaining_enabled=not args.no_chaining,
@@ -178,23 +178,17 @@ def _cmd_experiment(args) -> int:
 
 
 def _cmd_eval(args) -> int:
-    gold = _read_model_file(args.gold)
-    pred = _read_model_file(args.pred)
+    # Labels-only files, as the harness writes them, score too.
+    gold = harness.read_model_file(args.gold, labels_ok=True)
+    pred = harness.read_model_file(args.pred, labels_ok=True)
     precision, recall = ev.score(gold, pred, args.step)
     print(f"precision {precision:.3f}")
     print(f"recall {recall:.3f}")
     return EXIT_OK
 
 
-def _read_model_file(path: Path) -> sm.SemanticModel:
-    # Accepts full models and the labels-only files the harness writes, which
-    # have no links field; a model whose links field is malformed is an error.
-    doc = decode_json(path.read_text(encoding="utf-8"), "model")
-    return sm.read_model(doc, links=not isinstance(doc, dict) or sm.INTERNAL_LINK_TRIPLES_KEY in doc)
-
-
 def _cmd_lint_gold(args) -> int:
-    model = sm.parse_model(args.model.read_text(encoding="utf-8"))
+    model = harness.read_model_file(args.model)
     # Linting needs the attributes only.
     table = harness.read_table(args.source, record_cap=1)
     report = sm.lint_gold(model, table)

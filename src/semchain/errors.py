@@ -17,6 +17,16 @@ class EmptySourceError(SemchainError):
     """A source yielded zero attributes."""
 
 
+def require_types(obj, names: tuple[str, ...], types) -> None:
+    """Raise TypeError unless each named field of `obj` is of `types`; a bool
+    is accepted only where `types` is bool, and is never a number."""
+    for name in names:
+        value = getattr(obj, name)
+        if (isinstance(value, bool) and types is not bool) or not isinstance(value, types):
+            kind = {bool: "true or false", int: "an integer", str: "a string"}.get(types, "a number")
+            raise TypeError(f"{name} must be {kind}, got {value!r}")
+
+
 def decode_json(text: str, what: str):
     """Decode JSON from outside the program; any failure is a FormatError naming `what`."""
     try:

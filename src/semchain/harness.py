@@ -18,7 +18,7 @@ from . import ontology as onto_mod
 from . import prompting
 from . import semantic_model as sm
 from .chain import ChainConfig, ChainResult, run_chain
-from .errors import SemchainError, ShotTooLargeError, decode_json
+from .errors import SemchainError, ShotTooLargeError, decode_json, require_types
 from .ingest import DEFAULT_RECORD_CAP, SourceFormat, Table, parse_source, serialize_table
 from .llm import (
     Completion,
@@ -94,12 +94,8 @@ class ExperimentConfig:
             self.templates_dir = Path(self.templates_dir)
         if self.rules_dir is not None:
             self.rules_dir = Path(self.rules_dir)
-        for name in ("random_state", "record_cap", "max_workers"):
-            value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, int):
-                raise TypeError(f"{name} must be an integer, got {value!r}")
-        if not isinstance(self.test_size, (int, float)):
-            raise TypeError(f"test_size must be a number, got {self.test_size!r}")
+        require_types(self, ("random_state", "record_cap", "max_workers"), int)
+        require_types(self, ("test_size",), (int, float))
         if not 0 < self.test_size < 1:
             raise ValueError(f"test_size must be in (0, 1), got {self.test_size}")
         if self.record_cap < 1:
@@ -229,14 +225,23 @@ def _source_files(sources_dir: str | Path) -> dict[str, Path]:
     return paths
 
 
+def read_model_file(path: str | Path, *, labels_ok: bool = False) -> sm.SemanticModel:
+    """Read one model file; its errors name the file. With `labels_ok`, a
+    document without links is read as a labels-only one."""
+    path = Path(path)
+    try:
+        text = path.read_text(encoding="utf-8")
+        if not labels_ok:
+            return sm.parse_model(text)
+        doc = decode_json(text, "model")
+        return sm.read_model(doc, links=not isinstance(doc, dict) or sm.INTERNAL_LINK_TRIPLES_KEY in doc)
+    except SemchainError as exc:
+        raise type(exc)(f"{path.name}: {exc}") from None
+
+
 def load_gold_models(gold_dir: str | Path) -> dict[str, sm.SemanticModel]:
     gold_dir = Path(gold_dir)
-    golds = {}
-    for path in sorted(gold_dir.glob("*.json")):
-        try:
-            golds[path.stem] = sm.parse_model(path.read_text(encoding="utf-8"))
-        except SemchainError as exc:
-            raise type(exc)(f"{path.name}: {exc}") from None
+    golds = {path.stem: read_model_file(path) for path in sorted(gold_dir.glob("*.json"))}
     if not golds:
         raise ValueError(f"no gold models found in {gold_dir}")
     return golds
@@ -354,8 +359,9 @@ def run_ablation(config: ExperimentConfig, provider: Provider | None = None) -> 
     """Three configurations, same split: single prompt, chained, chained+pruned.
 
     The two chained configurations send the same requests, so the pruned one
-    is scored on the chained one's replies instead of asking again. Each
-    returned row also says whether its configuration had failed sources.
+    is scored on the chained one's replies, failures included, instead of
+    asking again. Each returned row also says whether its configuration had
+    failed sources.
     """
     variants = [("single-prompt", False, False), ("chaining", True, False), ("chaining+prune", True, True)]
     if provider is None:
@@ -397,11 +403,12 @@ def run_ablation(config: ExperimentConfig, provider: Provider | None = None) -> 
 
 
 class _SharedReplies:
-    """Provider wrapper that answers a repeated request with its first reply."""
+    """Provider wrapper that answers a repeated request with its first outcome:
+    the first reply, or the first failure raised again."""
 
     def __init__(self, provider: Provider) -> None:
         self._provider = provider
-        self._replies: dict[tuple, Completion] = {}
+        self._outcomes: dict[tuple, Completion | SemchainError] = {}
 
     def complete(
         self,
@@ -413,9 +420,15 @@ class _SharedReplies:
         # The tags are part of the request: a table's prompt need not name its
         # source, and a provider may answer per source (as the mock does).
         key = (system, tuple(turns), tuple(sorted((tags or {}).items())))
-        if key not in self._replies:
-            self._replies[key] = self._provider.complete(system, turns, tags=tags)
-        return self._replies[key]
+        if key not in self._outcomes:
+            try:
+                self._outcomes[key] = self._provider.complete(system, turns, tags=tags)
+            except SemchainError as exc:
+                self._outcomes[key] = exc
+        outcome = self._outcomes[key]
+        if isinstance(outcome, SemchainError):
+            raise outcome
+        return outcome
 
 
 _NO_PREDICTION = sm.SemanticModel(frozenset(), frozenset())

@@ -8,12 +8,12 @@ import hashlib
 import json
 import os
 import random
-import re
 import threading
 import time
 from collections import deque
 from dataclasses import dataclass
 from typing import Callable, Mapping, Protocol, Sequence
+from urllib.parse import urlsplit
 
 import requests
 
@@ -24,6 +24,7 @@ from .errors import (
     ProviderError,
     ProviderTimeoutError,
     RateLimitExhaustedError,
+    require_types,
 )
 
 STAGE_CHAIN1 = "chain1"
@@ -99,9 +100,15 @@ class ProviderConfig:
     requests_per_minute: int = 60
 
     def __post_init__(self) -> None:
-        _require(self, ("base_url", "model_name", "api_key_env"), str)
-        _require(self, ("max_tokens", "max_retries", "requests_per_minute"), int)
-        _require(self, ("temperature", "timeout"), (int, float))
+        require_types(self, ("base_url", "model_name", "api_key_env"), str)
+        require_types(self, ("max_tokens", "max_retries", "requests_per_minute"), int)
+        require_types(self, ("temperature", "timeout"), (int, float))
+        try:
+            url = urlsplit(self.base_url)
+        except ValueError:  # e.g. an unclosed IPv6 bracket
+            url = None
+        if url is None or url.scheme not in ("http", "https") or not url.hostname:
+            raise ValueError(f"base_url must be an http or https URL with a host, got {self.base_url!r}")
         if self.temperature < 0:
             raise ValueError("temperature must be >= 0")
         if self.timeout <= 0:
@@ -110,15 +117,6 @@ class ProviderConfig:
             raise ValueError("max_retries must be >= 0")
         if self.requests_per_minute < 1:
             raise ValueError("requests_per_minute must be >= 1")
-
-
-def _require(obj, names: tuple[str, ...], types) -> None:
-    """Raise TypeError unless each named field is of `types`; a bool is no number."""
-    for name in names:
-        value = getattr(obj, name)
-        if isinstance(value, bool) or not isinstance(value, types):
-            kind = {int: "an integer", str: "a string"}.get(types, "a number")
-            raise TypeError(f"{name} must be {kind}, got {value!r}")
 
 
 class Provider(Protocol):
@@ -276,7 +274,7 @@ class CorruptionSpec:
     stages: frozenset[str] = ALL_STAGES
 
     def __post_init__(self) -> None:
-        _require(self, ("drop_triples", "inject_instances", "rename_properties", "seed"), int)
+        require_types(self, ("drop_triples", "inject_instances", "rename_properties", "seed"), int)
         if isinstance(self.stages, str):
             raise TypeError(f"stages must be a collection of stage names, got {self.stages!r}")
         object.__setattr__(self, "stages", frozenset(self.stages))
@@ -400,9 +398,8 @@ def extract_tagged_json(response: str, tag: str) -> tuple[str, object]:
     JSON, code fences trimmed. Without usable tags, falls back to the last
     balanced JSON object anywhere in the response.
     """
-    regions = re.findall(rf"<{re.escape(tag)}>(.*?)</{re.escape(tag)}>", response, re.DOTALL)
     try:
-        for region in reversed(regions):
+        for region in reversed(_tagged_regions(response, tag)):
             candidate = _strip_fences(region.strip())
             try:
                 return candidate, json.loads(candidate)
@@ -415,6 +412,21 @@ def extract_tagged_json(response: str, tag: str) -> tuple[str, object]:
     if last is not None:
         return last
     raise NoAnswerError(f"no parseable <{tag}> answer (and no bare JSON object) in the response")
+
+
+def _tagged_regions(text: str, tag: str) -> list[str]:
+    """The contents of the non-overlapping <tag>...</tag> regions, in order; the
+    scan ends at the first opening tag that no closing tag follows."""
+    opening, closing = f"<{tag}>", f"</{tag}>"
+    regions = []
+    start = text.find(opening)
+    while start >= 0:
+        end = text.find(closing, start + len(opening))
+        if end < 0:
+            break
+        regions.append(text[start + len(opening):end])
+        start = text.find(opening, end + len(closing))
+    return regions
 
 
 def _strip_fences(text: str) -> str:

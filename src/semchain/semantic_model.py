@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import json
-from collections import deque
 from dataclasses import dataclass
 from typing import Iterable
 
@@ -184,36 +183,24 @@ def serialize_labels(model: SemanticModel) -> str:
 def prune(model: SemanticModel, attributes: Iterable[str]) -> SemanticModel:
     """Drop triples on unknown attributes and instances with no path to any attribute.
 
-    Connectivity is undirected over internal links and attribute annotations,
-    so a node survives as long as anything ties it to a surviving attribute.
-    Tolerates cycles and arbitrary hallucinated input; idempotent.
+    Connectivity is undirected over internal links, starting from the instances
+    that annotate a surviving attribute, so a node survives as long as anything
+    ties it to one. Tolerates cycles and arbitrary hallucinated input; idempotent.
     """
     known = set(attributes)
     kept_sems = frozenset(t for t in model.semantic_triples if t.attribute in known)
-    neighbors: dict[tuple, set[tuple]] = {}
-
-    def connect(a: tuple, b: tuple) -> None:
-        neighbors.setdefault(a, set()).add(b)
-        neighbors.setdefault(b, set()).add(a)
-
-    for t in kept_sems:
-        connect(("i", t.subject), ("a", t.attribute))
+    neighbors: dict[ClassInstance, list[ClassInstance]] = {}
     for link in model.internal_link_triples:
-        connect(("i", link.subject), ("i", link.object))
-
-    reached: set[tuple] = set()
-    queue = deque(node for node in neighbors if node[0] == "a")
-    reached.update(queue)
-    while queue:
-        node = queue.popleft()
-        for neighbor in neighbors.get(node, ()):
+        neighbors.setdefault(link.subject, []).append(link.object)
+        neighbors.setdefault(link.object, []).append(link.subject)
+    reached = {t.subject for t in kept_sems}
+    stack = list(reached)
+    while stack:
+        for neighbor in neighbors.get(stack.pop(), ()):
             if neighbor not in reached:
                 reached.add(neighbor)
-                queue.append(neighbor)
-
-    kept_links = frozenset(
-        link for link in model.internal_link_triples if ("i", link.subject) in reached
-    )
+                stack.append(neighbor)
+    kept_links = frozenset(link for link in model.internal_link_triples if link.subject in reached)
     return SemanticModel(kept_sems, kept_links)
 
 
@@ -223,36 +210,30 @@ def depth(model: SemanticModel) -> int:
     Internal links run subject -> object and annotations instance -> attribute.
     An empty model, or one with no attribute-ending path, has depth 0.
     """
-    instances = sorted(model.instances())
-    successors: dict[ClassInstance, set[ClassInstance]] = {i: set() for i in instances}
-    indegree: dict[ClassInstance, int] = {i: 0 for i in instances}
+    successors: dict[ClassInstance, set[ClassInstance]] = {i: set() for i in model.instances()}
     for link in model.internal_link_triples:
-        if link.object not in successors[link.subject]:
-            successors[link.subject].add(link.object)
-            indegree[link.object] += 1
-    annotated = {t.subject for t in model.semantic_triples}
-
-    order = []
-    queue = deque(i for i in instances if indegree[i] == 0)
-    while queue:
-        node = queue.popleft()
-        order.append(node)
-        for succ in sorted(successors[node]):
+        successors[link.subject].add(link.object)
+    indegree = dict.fromkeys(successors, 0)
+    for targets in successors.values():
+        for succ in targets:
+            indegree[succ] += 1
+    # Kahn's algorithm; `order` grows while it is walked.
+    order = [node for node, count in indegree.items() if count == 0]
+    for node in order:
+        for succ in successors[node]:
             indegree[succ] -= 1
             if indegree[succ] == 0:
-                queue.append(succ)
-    if len(order) != len(instances):
+                order.append(succ)
+    if len(order) != len(successors):
         raise CyclicModelError("internal links contain a directed cycle")
 
-    longest: dict[ClassInstance, int | None] = {}
+    # Longest attribute-ending path from each node; 0 means there is none.
+    annotated = {t.subject for t in model.semantic_triples}
+    longest: dict[ClassInstance, int] = {}
     for node in reversed(order):
-        candidates = [1] if node in annotated else []
-        for succ in successors[node]:
-            if longest[succ] is not None:
-                candidates.append(1 + longest[succ])
-        longest[node] = max(candidates) if candidates else None
-    finite = [value for value in longest.values() if value is not None]
-    return max(finite) if finite else 0
+        below = [longest[succ] for succ in successors[node] if longest[succ]]
+        longest[node] = 1 + max(below) if below else int(node in annotated)
+    return max(longest.values(), default=0)
 
 
 def lint_gold(model: SemanticModel, table: Table) -> LintReport:
@@ -280,32 +261,25 @@ def lint_gold(model: SemanticModel, table: Table) -> LintReport:
 
 
 def _lint_birth_death_numbering(model: SemanticModel) -> LintDiagnostic | None:
-    instances = model.instances()
-    births = {i for i in instances if i.class_name == BIRTH_CLASS}
-    deaths = {i for i in instances if i.class_name == DEATH_CLASS}
-    if not births or not deaths:
+    classes = {i.class_name for i in model.instances()}
+    if BIRTH_CLASS not in classes or DEATH_CLASS not in classes:
         return None
-
-    def span_links(class_name: str) -> list[InternalLinkTriple]:
-        return [
+    links = sorted(model.internal_link_triples)
+    offenders, missing = [], []
+    for event, index in ((BIRTH_CLASS, 1), (DEATH_CLASS, 2)):
+        spans = [
             link
-            for link in sorted(model.internal_link_triples)
-            if link.subject.class_name == class_name
+            for link in links
+            if link.subject.class_name == event
             and link.property == HAS_TIME_SPAN_PROPERTY
             and link.object.class_name == TIME_SPAN_CLASS
         ]
-
-    birth_links = span_links(BIRTH_CLASS)
-    death_links = span_links(DEATH_CLASS)
-    problems = []
-    offenders = [l for l in birth_links if l.object.index != 1]
-    offenders += [l for l in death_links if l.object.index != 2]
-    if offenders:
-        problems.append("mis-numbered time-span links: " + ", ".join(str(l.as_list()) for l in offenders))
-    if not any(l.object.index == 1 for l in birth_links):
-        problems.append(f"{BIRTH_CLASS} does not link to {TIME_SPAN_CLASS}1")
-    if not any(l.object.index == 2 for l in death_links):
-        problems.append(f"{DEATH_CLASS} does not link to {TIME_SPAN_CLASS}2")
+        wrong = [link for link in spans if link.object.index != index]
+        offenders += wrong
+        if len(wrong) == len(spans):
+            missing.append(f"{event} does not link to {TIME_SPAN_CLASS}{index}")
+    listed = ", ".join(str(l.as_list()) for l in offenders)
+    problems = ([f"mis-numbered time-span links: {listed}"] if offenders else []) + missing
     if not problems:
         return None
     return LintDiagnostic(

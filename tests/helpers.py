@@ -180,6 +180,24 @@ def longest_path_to_attribute(model: SemanticModel) -> int:
     return best
 
 
+def has_directed_cycle(model: SemanticModel) -> bool:
+    """Whether some instance reaches itself over internal links (DFS from each)."""
+    successors: dict[str, set[str]] = defaultdict(set)
+    for link in model.internal_link_triples:
+        successors[link.subject.render()].add(link.object.render())
+    for start in list(successors):
+        seen = set()
+        stack = list(successors[start])
+        while stack:
+            node = stack.pop()
+            if node == start:
+                return True
+            if node not in seen:
+                seen.add(node)
+                stack.extend(successors[node])
+    return False
+
+
 def best_intersection_bruteforce(gold: SemanticModel, predicted: SemanticModel) -> int:
     """Max matching triples over every per-class injective index mapping,
     including partial ones; recursive enumeration over string-rendered triples."""

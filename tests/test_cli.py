@@ -71,12 +71,35 @@ def test_eval_rejects_a_model_with_malformed_links(toy_dir, tmp_path, capout):
     assert main(["eval", "--gold", str(bad), "--pred", str(gold), "--step", "modeling"]) == 1
     out = capout()
     assert out.out == ""
-    assert out.err == "error: 'internal_link_triples' must be an array\n"
+    assert out.err == "error: bad.json: 'internal_link_triples' must be an array\n"
     # A labels-only file, which has no links field, is still read.
     labels = tmp_path / "labels.json"
     labels.write_text(json.dumps({"semantic_triples": doc["semantic_triples"]}), encoding="utf-8")
     assert main(["eval", "--gold", str(gold), "--pred", str(labels), "--step", "labeling"]) == 0
     assert "precision 1.000" in capout().out
+
+
+@pytest.mark.parametrize("command", ["eval-gold", "eval-pred", "run", "lint-gold"])
+def test_a_bad_model_file_is_named_in_its_error(command, toy_dir, tmp_path, capout):
+    bad = tmp_path / "bad.json"
+    bad.write_text('{"semantic_triples": [', encoding="utf-8")
+    gold = str(toy_dir / "gold" / "artists.json")
+    source = str(toy_dir / "sources" / "artists.csv")
+    prompt = tmp_path / "system.txt"
+    prompt.write_text("system", encoding="utf-8")
+    argv = {
+        "eval-gold": ["eval", "--gold", str(bad), "--pred", gold],
+        "eval-pred": ["eval", "--gold", gold, "--pred", str(bad)],
+        "run": ["run", "--system-prompt", str(prompt), "--source", source, "--mock-gold", str(bad),
+                "--out", str(tmp_path / "run")],
+        "lint-gold": ["lint-gold", "--model", str(bad), "--source", source],
+    }[command]
+    assert main(argv) == 1
+    out = capout()
+    assert out.out == ""
+    assert out.err.startswith("error: bad.json: model: not JSON: ")
+    assert out.err.count("\n") == 1
+    assert not (tmp_path / "run").exists()
 
 
 @pytest.mark.parametrize("text", ["[]", "3", '"semantic_triples"', "null"])
@@ -87,7 +110,7 @@ def test_eval_rejects_a_file_that_is_no_object(text, toy_dir, tmp_path, capout):
     for argv in (["--gold", str(bad), "--pred", gold], ["--gold", gold, "--pred", str(bad)]):
         assert main(["eval", *argv]) == 1
         out = capout()
-        assert (out.out, out.err) == ("", "error: model JSON must be an object\n")
+        assert (out.out, out.err) == ("", "error: bad.json: model JSON must be an object\n")
 
 
 def test_experiment_with_mock_provider_completes_offline(toy_dir, tmp_path, capout):
@@ -311,7 +334,7 @@ def test_bad_json_input_prints_one_error_and_exits_one(command, text, toy_dir, t
     bad.write_bytes(text)
     gold = str(toy_dir / "gold" / "artists.json")
     argv, what = {
-        "eval": (["eval", "--gold", str(bad), "--pred", gold], "model"),
+        "eval": (["eval", "--gold", str(bad), "--pred", gold], "bad.json: model"),
         "serialize-ontology": (["serialize-ontology", str(bad)], "ontology"),
         "build-prompt": (["build-prompt", "--config", str(bad)], "config"),
     }[command]
@@ -340,6 +363,9 @@ def test_bad_json_input_prints_one_error_and_exits_one(command, text, toy_dir, t
         ("provider corruption", {"provider": {"kind": "mock", "corruption": {"stages": "chain1"}}}),
         ("provider", {"provider": {"kind": "http", "base_url": 5, "model_name": "m"}}),
         ("provider", {"provider": {"kind": "http", "base_url": "x", "model_name": "m", "max_retries": 1.5}}),
+        ("base_url", {"provider": {"kind": "http", "base_url": "api.example.com/v1", "model_name": "m"}}),
+        ("base_url", {"provider": {"kind": "http", "base_url": "ftp://example.com", "model_name": "m"}}),
+        ("base_url", {"provider": {"kind": "http", "base_url": "http://", "model_name": "m"}}),
     ],
     ids=[
         "chain-key", "chain-not-object", "provider-key", "provider-not-object",
@@ -347,6 +373,7 @@ def test_bad_json_input_prints_one_error_and_exits_one(command, text, toy_dir, t
         "chain-flag-string-no", "chain-flag-string-false", "max-workers-float",
         "corruption-drop-float", "corruption-rename-float", "corruption-stages-string",
         "http-base-url-int", "http-retries-float",
+        "http-base-url-no-scheme", "http-base-url-ftp", "http-base-url-no-host",
     ],
 )
 def test_bad_config_mappings_exit_one(what, extra, toy_dir, tmp_path, capout):

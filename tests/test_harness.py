@@ -25,7 +25,7 @@ from semchain import (
     shot_count,
     split_dataset,
 )
-from semchain.errors import FormatError, ShotTooLargeError
+from semchain.errors import FormatError, ProviderError, ShotTooLargeError
 from semchain.evaluation import LABELING, MODELING
 
 from helpers import DEEPLY_NESTED
@@ -429,6 +429,36 @@ class TestExperiment:
             (sid, stage) for sid in split["test"] for stage in ("combined", "chain1", "chain2")
         )
 
+    def test_chained_arms_share_failed_requests(self, toy_config, toy_golds, tmp_path):
+        class _FailsChain2Once:
+            def __init__(self):
+                self.inner = MockProvider(MockScript.from_gold(toy_golds))
+                self.failed = set()
+
+            def complete(self, system, turns, *, tags=None):
+                key = (tags["source_id"], tags["stage"])
+                if tags["stage"] == "chain2" and key not in self.failed:
+                    self.failed.add(key)
+                    raise ProviderError(f"outage on {key[0]}")
+                return self.inner.complete(system, turns, tags=tags)
+
+        provider = _FailsChain2Once()
+        config = toy_config(out_dir=tmp_path / "ablation-run")
+        rows = run_ablation(config, provider)
+        ablation = Path(config.out_dir) / "ablation"
+        test = json.loads((ablation / "chaining" / "split.json").read_text())["test"]
+        assert sorted(provider.inner.calls) == sorted(
+            (sid, stage) for sid in test for stage in ("combined", "chain1")
+        )
+        assert provider.failed == {(sid, "chain2") for sid in test}
+        assert [row["has_failures"] for row in rows] == [False, True, True]
+        for name in ("chaining", "chaining+prune"):
+            aggregate = json.loads((ablation / name / "aggregate.json").read_text())
+            assert aggregate["failed_sources"] == sorted(test)
+            for sid in test:
+                error = (ablation / name / "sources" / sid / "error.txt").read_text()
+                assert error == f"ProviderError: outage on {sid}\n"
+
     @pytest.mark.parametrize("strict", [False, True], ids=["lenient", "strict"])
     def test_ablation_configurations_equal_standalone_runs(self, strict, toy_config, toy_dir, tmp_path):
         # Two test sources with the same table send the same prompts; each
@@ -518,7 +548,7 @@ class TestExperiment:
 
 @pytest.mark.parametrize(
     "field, value",
-    [("random_state", "7"), ("record_cap", True), ("max_workers", 2.5), ("test_size", "0.5")],
+    [("random_state", "7"), ("record_cap", True), ("max_workers", 2.5), ("test_size", "0.5"), ("test_size", True)],
 )
 def test_ill_typed_config_values_raise_type_error(field, value, toy_config):
     with pytest.raises(TypeError, match=field):

@@ -2,6 +2,8 @@ from __future__ import annotations
 
 import hashlib
 import json
+import random
+import re
 import time
 from dataclasses import dataclass
 
@@ -27,6 +29,7 @@ from semchain.errors import (
     ProviderTimeoutError,
     RateLimitExhaustedError,
 )
+from semchain.llm import _tagged_regions
 from helpers import bfs_connected_instances
 
 
@@ -88,8 +91,28 @@ class TestExtraction:
             extract_tagged_json(reply, "Step1")
         assert time.perf_counter() - started < 1.0
 
+    def test_unclosed_tags_are_scanned_in_linear_time(self):
+        # The lazy regex rescanned the rest of the reply from each opening tag.
+        started = time.perf_counter()
+        with pytest.raises(NoAnswerError):
+            extract_tagged_json("<Step2>" * 20_000, "Step2")
+        assert time.perf_counter() - started < 1.0
+
+    def test_tag_scan_agrees_with_the_lazy_regex(self):
+        def by_regex(text, tag):
+            return re.findall(rf"<{re.escape(tag)}>(.*?)</{re.escape(tag)}>", text, re.DOTALL)
+
+        pieces = [
+            "<Step1>", "</Step1>", "<Step2>", "</Step2>", "<Step1", "Step1>", "</Step", "<",
+            "```json", "```", '{"semantic_triples": []}', '{"a": [1, 2]}', "{broken", "prose", "\n",
+        ]
+        rng = random.Random(12)
+        for _ in range(5000):
+            text = "".join(rng.choices(pieces, k=rng.randint(0, 14)))
+            for tag in ("Step1", "Step2"):
+                assert _tagged_regions(text, tag) == by_regex(text, tag), (text, tag)
+
     def test_extraction_result_always_parses(self):
-        import random
         import string
 
         rng = random.Random(6)
@@ -429,6 +452,19 @@ def test_chat_exchange_validates_alternation():
 
 def test_provider_config_validation():
     with pytest.raises(ValueError):
-        ProviderConfig(base_url="x", model_name="m", temperature=-0.1)
+        ProviderConfig(base_url="http://localhost", model_name="m", temperature=-0.1)
     with pytest.raises(ValueError):
-        ProviderConfig(base_url="x", model_name="m", timeout=0)
+        ProviderConfig(base_url="http://localhost", model_name="m", timeout=0)
+
+
+@pytest.mark.parametrize(
+    "base_url", ["x", "api.example.com/v1", "ftp://example.com", "http://", "https://:443/v1", "http://[::1"]
+)
+def test_base_url_must_be_an_http_url_with_a_host(base_url):
+    with pytest.raises(ValueError, match="^base_url must be an http or https URL with a host"):
+        ProviderConfig(base_url=base_url, model_name="m")
+
+
+@pytest.mark.parametrize("base_url", ["http://localhost:8000", "HTTPS://api.example.com/v1/", "http://[::1]/v1"])
+def test_http_urls_with_a_host_are_accepted(base_url):
+    assert ProviderConfig(base_url=base_url, model_name="m").base_url == base_url

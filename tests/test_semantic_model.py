@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import hashlib
 import json
 import random
 import re
@@ -23,7 +24,8 @@ from semchain import (
     serialize_model,
 )
 from semchain.errors import CyclicModelError, InstanceParseError, SchemaError
-from helpers import bfs_connected_instances, longest_path_to_attribute, random_model
+from semchain.semantic_model import BIRTH_CLASS, DEATH_CLASS, HAS_TIME_SPAN_PROPERTY, TIME_SPAN_CLASS
+from helpers import bfs_connected_instances, has_directed_cycle, longest_path_to_attribute, random_model
 
 
 def _model(sems=(), links=()) -> SemanticModel:
@@ -202,6 +204,18 @@ class TestPrune:
             for inst in pruned.instances():
                 assert inst.render() in survivors
 
+    def test_prune_keeps_exactly_the_connected_part(self):
+        rng = random.Random(43)
+        attributes = {"name", "date", "title"}
+        for _ in range(2000):
+            model = random_model(rng, max_instances_per_class=6, max_links=12)
+            survivors = bfs_connected_instances(model, attributes)
+            pruned = prune(model, attributes)
+            assert {inst.render() for inst in pruned.instances()} == survivors
+            assert pruned.internal_link_triples == {
+                link for link in model.internal_link_triples if link.subject.render() in survivors
+            }
+
 
 class TestDepth:
     def test_single_annotation(self):
@@ -227,6 +241,27 @@ class TestDepth:
         for _ in range(200):
             model = random_model(rng, acyclic=True)
             assert depth(model) == longest_path_to_attribute(model)
+
+    def test_depth_raises_exactly_on_cycles_and_else_matches_path_enumeration(self):
+        rng = random.Random(47)
+        cyclic = 0
+        for _ in range(2000):
+            model = random_model(rng, max_instances_per_class=6, max_links=12)
+            if has_directed_cycle(model):
+                cyclic += 1
+                with pytest.raises(CyclicModelError):
+                    depth(model)
+            else:
+                assert depth(model) == longest_path_to_attribute(model)
+        assert 0 < cyclic < 2000
+
+    def test_a_long_chain_does_not_recurse(self):
+        chain = [ClassInstance("Step", i) for i in range(1, 5001)]
+        model = _model(
+            sems=[SemanticTriple(chain[-1], "p", "name")],
+            links=[InternalLinkTriple(a, "next", b) for a, b in zip(chain, chain[1:])],
+        )
+        assert depth(model) == 5000
 
     def test_depth_never_grows_under_prune(self):
         rng = random.Random(37)
@@ -270,3 +305,42 @@ class TestLints:
             links=[_link("crm:E67_Birth1", "crm:P4_has_time-span", "crm:E52_Time-Span2")],
         )
         assert lint_gold(model, self._table("birth")).ok()
+
+# lint_gold's output on the models below; any change to a message or offender moves it.
+_LINT_DIGEST = "a7c0ac1ebb590ef0abf57e464081a40318682010a6342929b18119e857405175"
+
+
+def _birth_death_model(rng: random.Random) -> SemanticModel:
+    """A random model over Birth, Death, Time-Span and Person instances whose
+    links mostly carry the time-span property."""
+    counts = {
+        "crm:E21_Person": 1,
+        BIRTH_CLASS: rng.randint(0, 3),
+        DEATH_CLASS: rng.randint(0, 3),
+        TIME_SPAN_CLASS: rng.randint(1, 3),
+    }
+    instances = [ClassInstance(cls, index) for cls, count in counts.items() for index in range(1, count + 1)]
+    sems = {
+        SemanticTriple(rng.choice(instances), "crm:P82_at_some_time_within", rng.choice(("birth", "death", "note")))
+        for _ in range(rng.randint(0, 4))
+    }
+    properties = (HAS_TIME_SPAN_PROPERTY, HAS_TIME_SPAN_PROPERTY, "crm:P98_brought_into_life")
+    links = set()
+    for _ in range(rng.randint(0, 6)):
+        subject, obj = rng.sample(instances, 2)
+        links.add(InternalLinkTriple(subject, rng.choice(properties), obj))
+    return _model(sems, links)
+
+
+def test_lint_output_matches_its_pinned_digest():
+    rng = random.Random(53)
+    table = Table("src", SourceFormat.CSV, ("birth", "death"), ())
+    digest = hashlib.sha256()
+    problems = set()
+    for _ in range(20_000):
+        diagnostics = lint_gold(_birth_death_model(rng), table).diagnostics
+        digest.update(repr(diagnostics).encode("utf-8") + b"\n")
+        for part in (p for d in diagnostics if d.rule == "L2" for p in d.message.split("; ")):
+            problems.add("mis-numbered" if part.startswith("mis-numbered") else part)
+    assert len(problems) == 3  # mis-numbered links, and each event missing its span
+    assert digest.hexdigest() == _LINT_DIGEST

@@ -3,8 +3,8 @@
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass
-from typing import Mapping
+from dataclasses import dataclass, replace
+from typing import Iterable, Mapping
 
 from . import ontology as onto_mod
 from . import prompting
@@ -54,6 +54,12 @@ class ChainResult:
 
     def total_tokens(self) -> int:
         return sum(ex.usage.total for ex in self.transcripts.values())
+
+    def pruned(self, attributes: Iterable[str]) -> ChainResult:
+        """This result with its labels and final model pruned to `attributes`."""
+        return replace(
+            self, labels=sm.prune(self.labels, attributes), final_model=sm.prune(self.final_model, attributes)
+        )
 
 
 def run_chain(
@@ -114,13 +120,8 @@ def run_chain(
         model, dropped = _drop_illegal_links(model, ontology)
         if dropped:
             notes.append(f"strict validation dropped {dropped} internal link(s)")
-    attributes = set(table.attributes)
-    if config.pruning_enabled:
-        final_model = sm.prune(model, attributes)
-        labels = sm.prune(labels, attributes)
-    else:
-        final_model = model
-    return ChainResult(labels, raw_model, final_model, transcripts, tuple(notes))
+    result = ChainResult(labels, raw_model, model, transcripts, tuple(notes))
+    return result.pruned(table.attributes) if config.pruning_enabled else result
 
 
 # --- internals -----------------------------------------------------------------

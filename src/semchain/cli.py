@@ -155,6 +155,9 @@ def _cmd_experiment(args) -> int:
         seeds = [int(part) for part in args.seeds.split(",") if part.strip()]
         if not seeds:
             raise ValueError(f"--seeds {args.seeds!r} names no random state")
+        for i, seed in enumerate(seeds):
+            if seed in seeds[:i]:
+                raise ValueError(f"--seeds {args.seeds!r} repeats random state {seed}")
     failures = False
     for seed in seeds:
         out_dir = Path(config.out_dir)

@@ -20,16 +20,7 @@ from . import semantic_model as sm
 from .chain import ChainConfig, ChainResult, run_chain
 from .errors import SemchainError, ShotTooLargeError, decode_json, require_types
 from .ingest import DEFAULT_RECORD_CAP, SourceFormat, Table, parse_source, serialize_table
-from .llm import (
-    Completion,
-    CorruptionSpec,
-    HttpProvider,
-    Message,
-    MockProvider,
-    MockScript,
-    Provider,
-    ProviderConfig,
-)
+from .llm import CorruptionSpec, HttpProvider, MockProvider, MockScript, Provider, ProviderConfig
 
 # Fisher-Yates shuffle driven by a 64-bit LCG (Knuth MMIX constants) so the
 # split is identical across platforms and language runtimes.
@@ -321,63 +312,26 @@ def run_experiment(config: ExperimentConfig, provider: Provider | None = None) -
     and known sources that fail to parse raise. Each source's artifacts are
     written as soon as its result arrives.
     """
-    experiment = prepare_experiment(config)
-    split = experiment.split
-    if provider is None:
-        provider = make_provider(config.provider, experiment.golds)
-
-    out = Path(config.out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    # An earlier run into this directory may have modelled other sources.
-    for name in _SOURCE_FILES:
-        for path in out.glob(f"sources/*/{name}"):
-            path.unlink()
-    (out / "split.json").write_text(
-        split.to_json(sorted(experiment.tables), config.random_state, config.test_size, config.shot) + "\n",
-        encoding="utf-8",
-    )
-    (out / "system_prompt.txt").write_text(experiment.system_prompt, encoding="utf-8")
-    _write_run_meta(out, config, experiment)
-
-    def work(sid: str):
-        return _run_one_source(sid, experiment, config, provider)
-
-    rows: list[ev.ScoreRow] = []
-    with concurrent.futures.ThreadPoolExecutor(max_workers=config.max_workers) as pool:
-        for sid, (source_rows, outcome) in zip(split.test, pool.map(work, split.test)):
-            rows.extend(source_rows)
-            write_source_artifacts(out / "sources" / sid, sid, outcome)
-
-    report = ev.build_report(rows, config.aggregate_mode)
-    _write_report_csv(report, out / "report.csv")
-    _write_aggregate(report, config, out / "aggregate.json")
-    _write_depth_buckets(report, out / "depth_buckets.csv")
-    return report
+    return _run_arms([config], provider)[0]
 
 
 def run_ablation(config: ExperimentConfig, provider: Provider | None = None) -> list[dict]:
     """Three configurations, same split: single prompt, chained, chained+pruned.
 
-    The two chained configurations send the same requests, so the pruned one
-    is scored on the chained one's replies, failures included, instead of
-    asking again. Each returned row also says whether its configuration had
-    failed sources.
+    The two chained configurations send the same requests, so they share one
+    run: each test source is modelled once and scored both unpruned and
+    pruned, failures included. Each returned row also says whether its
+    configuration had failed sources.
     """
     variants = [("single-prompt", False, False), ("chaining", True, False), ("chaining+prune", True, True)]
-    if provider is None:
-        provider = make_provider(config.provider, load_gold_models(config.gold_dir))
-    shared = _SharedReplies(provider)
     out = Path(config.out_dir)
-    rows = []
+    configs = []
     for name, chaining, pruning in variants:
         chain = dataclasses.replace(config.chain, chaining_enabled=chaining, pruning_enabled=pruning)
-        sub = dataclasses.replace(config, chain=chain, out_dir=out / "ablation" / name)
-        report = run_experiment(sub, shared)
-        if name == "chaining+prune":
-            meta_path = sub.out_dir / "run_meta.json"
-            meta = json.loads(meta_path.read_text(encoding="utf-8"))
-            meta["replies"] = "reused from the chaining configuration, which sent the same requests"
-            meta_path.write_text(json.dumps(meta, indent=2) + "\n", encoding="utf-8")
+        configs.append(dataclasses.replace(config, chain=chain, out_dir=out / "ablation" / name))
+    reports = [run_experiment(configs[0], provider), *_run_arms(configs[1:], provider)]
+    rows = []
+    for (name, _, _), report in zip(variants, reports):
         precision, recall = report.aggregates.get(ev.MODELING, (0.0, 0.0))
         rows.append(
             {
@@ -402,42 +356,62 @@ def run_ablation(config: ExperimentConfig, provider: Provider | None = None) -> 
     return rows
 
 
-class _SharedReplies:
-    """Provider wrapper that answers a repeated request with its first outcome:
-    the first reply, or the first failure raised again."""
+def _run_arms(arms: Sequence[ExperimentConfig], provider: Provider | None) -> list[ev.EvalReport]:
+    """`run_experiment` for configurations that differ only in `out_dir` and
+    `chain.pruning_enabled`, from one set-up and one pool: each test source
+    is modelled once, unpruned, and each configuration scores and writes it,
+    pruned if that configuration prunes."""
+    config = arms[0]
+    experiment = prepare_experiment(config)
+    split = experiment.split
+    if provider is None:
+        provider = make_provider(config.provider, experiment.golds)
 
-    def __init__(self, provider: Provider) -> None:
-        self._provider = provider
-        self._outcomes: dict[tuple, Completion | SemchainError] = {}
+    for index, arm in enumerate(arms):
+        out = arm.out_dir
+        out.mkdir(parents=True, exist_ok=True)
+        # An earlier run into this directory may have modelled other sources.
+        for name in _SOURCE_FILES:
+            for path in out.glob(f"sources/*/{name}"):
+                path.unlink()
+        (out / "split.json").write_text(
+            split.to_json(sorted(experiment.tables), arm.random_state, arm.test_size, arm.shot) + "\n",
+            encoding="utf-8",
+        )
+        (out / "system_prompt.txt").write_text(experiment.system_prompt, encoding="utf-8")
+        _write_run_meta(out, arm, experiment, replies_reused=index > 0)
 
-    def complete(
-        self,
-        system: str,
-        turns: Sequence[Message],
-        *,
-        tags: Mapping[str, str] | None = None,
-    ) -> Completion:
-        # The tags are part of the request: a table's prompt need not name its
-        # source, and a provider may answer per source (as the mock does).
-        key = (system, tuple(turns), tuple(sorted((tags or {}).items())))
-        if key not in self._outcomes:
-            try:
-                self._outcomes[key] = self._provider.complete(system, turns, tags=tags)
-            except SemchainError as exc:
-                self._outcomes[key] = exc
-        outcome = self._outcomes[key]
-        if isinstance(outcome, SemchainError):
-            raise outcome
-        return outcome
+    unpruned = dataclasses.replace(config, chain=dataclasses.replace(config.chain, pruning_enabled=False))
+    prunes = [arm.chain.pruning_enabled for arm in arms]
+
+    def work(sid: str):
+        return _run_one_source(sid, experiment, unpruned, provider, prunes)
+
+    rows: list[list[ev.ScoreRow]] = [[] for _ in arms]
+    with concurrent.futures.ThreadPoolExecutor(max_workers=config.max_workers) as pool:
+        for sid, scored in zip(split.test, pool.map(work, split.test)):
+            for arm, arm_rows, (source_rows, outcome) in zip(arms, rows, scored):
+                arm_rows.extend(source_rows)
+                write_source_artifacts(arm.out_dir / "sources" / sid, sid, outcome)
+
+    reports = []
+    for arm, arm_rows in zip(arms, rows):
+        report = ev.build_report(arm_rows, arm.aggregate_mode)
+        _write_report_csv(report, arm.out_dir / "report.csv")
+        _write_aggregate(report, arm, arm.out_dir / "aggregate.json")
+        _write_depth_buckets(report, arm.out_dir / "depth_buckets.csv")
+        reports.append(report)
+    return reports
 
 
 _NO_PREDICTION = sm.SemanticModel(frozenset(), frozenset())
 
 
 def _run_one_source(
-    sid: str, experiment: Experiment, config: ExperimentConfig, provider: Provider
-) -> tuple[list[ev.ScoreRow], ChainResult | str]:
-    """Model and score one test source; a failure is scored as an empty
+    sid: str, experiment: Experiment, config: ExperimentConfig, provider: Provider, prunes: Sequence[bool]
+) -> list[tuple[list[ev.ScoreRow], ChainResult | str]]:
+    """Model one test source once and score it for each entry of `prunes`,
+    pruned where the entry is true; a failure is scored as an empty
     prediction and returned as its error text in place of the result."""
     started = time.perf_counter()
     gold = experiment.golds[sid]
@@ -448,7 +422,7 @@ def _run_one_source(
         gold_depth = sm.depth(gold)
         if isinstance(table, SemchainError):
             raise table
-        outcome = run_chain(
+        result = run_chain(
             experiment.system_prompt,
             table,
             config.chain,
@@ -457,37 +431,42 @@ def _run_one_source(
             ontology=experiment.ontology,
             record_cap=config.record_cap,
         )
-        predictions, tokens, error = (outcome.labels, outcome.final_model), outcome.total_tokens(), ""
+        outcomes = [result.pruned(table.attributes) if prune else result for prune in prunes]
+        tokens, error = result.total_tokens(), ""
     except SemchainError as exc:
-        outcome = error = f"{type(exc).__name__}: {exc}"
-        predictions, tokens = (_NO_PREDICTION, _NO_PREDICTION), 0
+        error = f"{type(exc).__name__}: {exc}"
+        outcomes, tokens = [error] * len(prunes), 0
     wall_ms = (time.perf_counter() - started) * 1000.0
-    rows = []
-    for step, predicted in zip(ev.STEPS, predictions):
-        precision, recall, intersection, gold_size, predicted_size = ev.score_detail(
-            gold, predicted, step
-        )
-        rows.append(
-            ev.ScoreRow(
-                source_id=sid,
-                step=step,
-                precision=precision,
-                recall=recall,
-                gold_size=gold_size,
-                predicted_size=predicted_size,
-                intersection=intersection,
-                depth=gold_depth,
-                latency_ms=wall_ms,
-                tokens=tokens,
-                error=error,
+    scored = []
+    for outcome in outcomes:
+        predictions = (_NO_PREDICTION, _NO_PREDICTION) if error else (outcome.labels, outcome.final_model)
+        rows = []
+        for step, predicted in zip(ev.STEPS, predictions):
+            precision, recall, intersection, gold_size, predicted_size = ev.score_detail(
+                gold, predicted, step
             )
-        )
-    return rows, outcome
+            rows.append(
+                ev.ScoreRow(
+                    source_id=sid,
+                    step=step,
+                    precision=precision,
+                    recall=recall,
+                    gold_size=gold_size,
+                    predicted_size=predicted_size,
+                    intersection=intersection,
+                    depth=gold_depth,
+                    latency_ms=wall_ms,
+                    tokens=tokens,
+                    error=error,
+                )
+            )
+        scored.append((rows, outcome))
+    return scored
 
 
 # --- persistence -----------------------------------------------------------------
 
-def _write_run_meta(out: Path, config: ExperimentConfig, experiment: Experiment) -> None:
+def _write_run_meta(out: Path, config: ExperimentConfig, experiment: Experiment, *, replies_reused: bool) -> None:
     from . import __version__
 
     meta = {
@@ -511,6 +490,8 @@ def _write_run_meta(out: Path, config: ExperimentConfig, experiment: Experiment)
         },
         "rules_sha256": [hashlib.sha256(r.encode("utf-8")).hexdigest() for r in experiment.rules],
     }
+    if replies_reused:
+        meta["replies"] = "reused from the chaining configuration, which sent the same requests"
     (out / "run_meta.json").write_text(json.dumps(meta, indent=2) + "\n", encoding="utf-8")
 
 

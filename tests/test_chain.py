@@ -25,6 +25,12 @@ def _gold_provider(toy_golds, corruption=None):
     return MockProvider(MockScript.from_gold(toy_golds, corruption))
 
 
+def _content(result):
+    """A result's fields, with its transcripts' wall-clock latencies left out."""
+    exchanges = {stage: (ex.turns, ex.usage) for stage, ex in result.transcripts.items()}
+    return result.labels, result.raw_model, result.final_model, result.notes, exchanges
+
+
 class TestChainedRuns:
     def test_gold_script_reproduces_gold(self, toy_tables, toy_golds):
         for sid, table in toy_tables.items():
@@ -78,6 +84,28 @@ class TestChainedRuns:
         )
         attrs = set(toy_tables["donations"].attributes)
         assert result.final_model == prune(result.raw_model, attrs)
+
+    @pytest.mark.parametrize("strict", [False, True], ids=["lenient", "strict"])
+    def test_pruning_on_equals_the_unpruned_result_pruned(self, strict, toy_tables, toy_golds, toy_ontology):
+        # Strict validation drops the injected links; the dropped triples still
+        # leave instances cut off from every attribute for pruning to remove.
+        corruption = CorruptionSpec(inject_instances=2, drop_triples=3, rename_properties=1, seed=9)
+        changed = False
+        for table in toy_tables.values():
+            pruned, unpruned = (
+                run_chain(
+                    SYSTEM,
+                    table,
+                    ChainConfig(pruning_enabled=pruning, strict_ontology_validation=strict),
+                    _gold_provider(toy_golds, corruption),
+                    ontology=toy_ontology,
+                )
+                for pruning in (True, False)
+            )
+            derived = unpruned.pruned(table.attributes)
+            assert _content(pruned) == _content(derived)
+            changed = changed or derived.final_model != unpruned.final_model
+        assert changed
 
     def test_determinism_under_mock(self, toy_tables, toy_golds):
         corruption = CorruptionSpec(drop_triples=1, rename_properties=1, seed=2024)

@@ -452,6 +452,14 @@ def test_seeds_that_name_no_random_state_exit_one(seeds, toy_dir, tmp_path, capo
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("seeds", ["2023,2023", "2023,2024, 2023"], ids=["twice", "spaced"])
+def test_a_repeated_seed_exits_one_before_anything_is_written(seeds, toy_dir, tmp_path, capout):
+    config = _write_config(toy_dir, tmp_path)
+    assert main(["experiment", "--config", str(config), "--seeds", seeds]) == 1
+    assert capout().err == f"error: --seeds {seeds!r} repeats random state 2023\n"
+    assert not (tmp_path / "out").exists()
+
+
 def test_run_into_a_reused_directory_leaves_only_its_own_files(toy_dir, tmp_path, capout):
     config = _write_config(toy_dir, tmp_path, shot="one")
     prompt_path = tmp_path / "system.txt"

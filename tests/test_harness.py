@@ -429,6 +429,28 @@ class TestExperiment:
             (sid, stage) for sid in split["test"] for stage in ("combined", "chain1", "chain2")
         )
 
+    def test_ablation_models_each_source_once_per_prompting_mode(self, monkeypatch, toy_config):
+        from semchain import harness
+
+        chained, setups = [], []
+        run_chain, prepare = harness.run_chain, harness.prepare_experiment
+
+        def counted_chain(system_prompt, table, config, provider, **kwargs):
+            chained.append((table.source_id, config.chaining_enabled))
+            return run_chain(system_prompt, table, config, provider, **kwargs)
+
+        def counted_prepare(config):
+            setups.append(config.out_dir.name)
+            return prepare(config)
+
+        monkeypatch.setattr(harness, "run_chain", counted_chain)
+        monkeypatch.setattr(harness, "prepare_experiment", counted_prepare)
+        config = toy_config()
+        run_ablation(config)
+        test = json.loads((Path(config.out_dir) / "ablation" / "chaining" / "split.json").read_text())["test"]
+        assert sorted(chained) == sorted((sid, chaining) for sid in test for chaining in (False, True))
+        assert setups == ["single-prompt", "chaining"]
+
     def test_chained_arms_share_failed_requests(self, toy_config, toy_golds, tmp_path):
         class _FailsChain2Once:
             def __init__(self):

@@ -11,7 +11,7 @@ sys.path.insert(0, str(BENCH))
 
 import run  # noqa: E402
 import spans  # noqa: E402
-from semchain import chain, harness  # noqa: E402
+from semchain import MockProvider, MockScript, chain, harness  # noqa: E402
 
 
 class _StubProvider:
@@ -33,18 +33,25 @@ def test_every_benchmark_trace_point_exists_and_is_restored():
     assert (harness.run_chain, harness.parse_source, chain.serialize_table, chain.extract_tagged_json) == originals
 
 
-def test_ablation_enters_run_experiment_once_per_configuration(monkeypatch, toy_config):
-    # perfbench starts its set-up clock on each entry to harness.run_experiment.
+def test_ablation_enters_run_experiment_once_before_any_provider_call(monkeypatch, toy_config, toy_golds):
+    # perfbench starts its set-up clock on each entry to harness.run_experiment
+    # and stops it at the next provider call: an ablation call times one set-up.
     inner = harness.run_experiment
-    entries = []
+    events = []
 
     def counted(*args, **kwargs):
-        entries.append(args[0].out_dir.name)
+        events.append(args[0].out_dir.name)
         return inner(*args, **kwargs)
 
+    class _Logged(MockProvider):
+        def complete(self, system, turns, *, tags=None):
+            events.append("provider call")
+            return super().complete(system, turns, tags=tags)
+
     monkeypatch.setattr(harness, "run_experiment", counted)
-    harness.run_ablation(toy_config())
-    assert entries == ["single-prompt", "chaining", "chaining+prune"]
+    harness.run_ablation(toy_config(), _Logged(MockScript.from_gold(toy_golds)))
+    assert [event for event in events if event != "provider call"] == ["single-prompt"]
+    assert events[0] == "single-prompt"
 
 
 def test_prepare_experiment_parses_through_the_harness_trace_point(monkeypatch, toy_config, toy_dir):

@@ -6,6 +6,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 import os
 import random
 import threading
@@ -41,6 +42,11 @@ _MOCK_REASONING = "Working through the attributes against the ontology, one at a
 def naive_token_count(text: str) -> int:
     """Whitespace token count; used wherever a provider reports no usage."""
     return len(text.split())
+
+
+def _naive_usage(system: str, turns: Sequence[Message], text: str) -> TokenUsage:
+    prompt_tokens = naive_token_count(system) + sum(naive_token_count(t.content) for t in turns)
+    return TokenUsage(prompt_tokens, naive_token_count(text))
 
 
 @dataclass(frozen=True)
@@ -109,10 +115,15 @@ class ProviderConfig:
             url = None
         if url is None or url.scheme not in ("http", "https") or not url.hostname:
             raise ValueError(f"base_url must be an http or https URL with a host, got {self.base_url!r}")
+        for name in ("temperature", "timeout"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be a finite number, got {getattr(self, name)!r}")
         if self.temperature < 0:
             raise ValueError("temperature must be >= 0")
         if self.timeout <= 0:
             raise ValueError("timeout must be > 0")
+        if self.max_tokens < 1:
+            raise ValueError("max_tokens must be >= 1")
         if self.max_retries < 0:
             raise ValueError("max_retries must be >= 0")
         if self.requests_per_minute < 1:
@@ -168,9 +179,11 @@ class RateLimiter:
 class HttpProvider:
     """OpenAI-style chat-completions client.
 
-    Transient failures (timeouts, connection and other transport errors,
-    429, 5xx) are retried with exponential backoff up to max_retries; one
-    shared rate limiter paces all threads using this provider.
+    The API key is read from the environment once, when the provider is
+    built, so an unset key fails before any request. Transient failures
+    (timeouts, connection and other transport errors, 429, 5xx) are retried
+    with exponential backoff up to max_retries; one shared rate limiter
+    paces all threads using this provider.
     """
 
     def __init__(
@@ -181,6 +194,9 @@ class HttpProvider:
         sleep: Callable[[float], None] = time.sleep,
     ) -> None:
         self.config = config
+        self._api_key = os.environ.get(config.api_key_env, "")
+        if not self._api_key:
+            raise AuthError(f"environment variable {config.api_key_env!r} is not set")
         self._session = session if session is not None else requests.Session()
         self._sleep = sleep
         self._limiter = RateLimiter(config.requests_per_minute, clock, sleep)
@@ -193,9 +209,6 @@ class HttpProvider:
         tags: Mapping[str, str] | None = None,
     ) -> Completion:
         del tags  # only the mock keys on them; transcripts are written upstream
-        api_key = os.environ.get(self.config.api_key_env, "")
-        if not api_key:
-            raise AuthError(f"environment variable {self.config.api_key_env!r} is not set")
         body = {
             "model": self.config.model_name,
             "messages": [{"role": "system", "content": system}]
@@ -204,7 +217,7 @@ class HttpProvider:
             "max_tokens": self.config.max_tokens,
         }
         url = self.config.base_url.rstrip("/") + "/chat/completions"
-        headers = {"Authorization": f"Bearer {api_key}"}
+        headers = {"Authorization": f"Bearer {self._api_key}"}
         for attempt in range(self.config.max_retries + 1):
             if attempt:
                 self._sleep(min(2.0 ** (attempt - 1), 30.0))
@@ -250,8 +263,7 @@ class HttpProvider:
         counts = (usage.get("prompt_tokens"), usage.get("completion_tokens")) if isinstance(usage, dict) else ()
         if counts and all(type(n) is int for n in counts):
             return Completion(text, TokenUsage(*counts))
-        prompt_tokens = naive_token_count(system) + sum(naive_token_count(t.content) for t in turns)
-        return Completion(text, TokenUsage(prompt_tokens, naive_token_count(text)))
+        return Completion(text, _naive_usage(system, turns, text))
 
 
 # --- deterministic mock -------------------------------------------------------
@@ -359,8 +371,7 @@ class MockProvider:
         text = self.script.responses.get((source_id, stage))
         if text is None:
             raise ProviderError(f"no scripted response for {(source_id, stage)!r}")
-        prompt_tokens = naive_token_count(system) + sum(naive_token_count(t.content) for t in turns)
-        return Completion(text, TokenUsage(prompt_tokens, naive_token_count(text)))
+        return Completion(text, _naive_usage(system, turns, text))
 
 
 def _corrupt_doc(doc: dict, spec: CorruptionSpec, rng: random.Random) -> dict:

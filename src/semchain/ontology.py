@@ -43,20 +43,18 @@ class Ontology:
         object.__setattr__(self, "class_parent", dict(self.class_parent))
         object.__setattr__(self, "property_parent", dict(self.property_parent))
         object.__setattr__(self, "potential_triples", frozenset(self.potential_triples))
+        # Derived data, so neither compared nor shown: each name's lineage per kind.
+        lineages = {}
         for kind, parents in (("class", self.class_parent), ("property", self.property_parent)):
             for name, parent in parents.items():
                 if parent is not None and parent not in parents:
                     raise DanglingNameError(f"{kind} {name!r} has undeclared parent {parent!r}")
-            _require_acyclic(parents, kind)
+            lineages[kind] = _build_lineages(parents, kind)
+        object.__setattr__(self, "_lineages", lineages)
         for t in self.potential_triples:
-            if t.subject not in self.class_parent:
-                raise DanglingNameError(f"potential triple references undeclared class {t.subject!r}")
-            if t.object not in self.class_parent:
-                raise DanglingNameError(f"potential triple references undeclared class {t.object!r}")
-            if t.property not in self.property_parent:
-                raise DanglingNameError(
-                    f"potential triple references undeclared property {t.property!r}"
-                )
+            for kind, name in (("class", t.subject), ("class", t.object), ("property", t.property)):
+                if name not in lineages[kind]:
+                    raise DanglingNameError(f"potential triple references undeclared {kind} {name!r}")
 
     @property
     def classes(self) -> frozenset[str]:
@@ -68,10 +66,10 @@ class Ontology:
 
     def class_ancestors(self, name: str) -> tuple[str, ...]:
         """Ancestor chain of a class, nearest parent first."""
-        return _ancestors(self.class_parent, name, "class")
+        return _lineage(self, "class", name)[1:]
 
     def property_ancestors(self, name: str) -> tuple[str, ...]:
-        return _ancestors(self.property_parent, name, "property")
+        return _lineage(self, "property", name)[1:]
 
 
 def parse_ontology(text: str) -> Ontology:
@@ -102,10 +100,8 @@ def parse_ontology(text: str) -> Ontology:
 def serialize_ontology(onto: Ontology) -> str:
     """Deterministic ontology JSON; parse_ontology(serialize_ontology(o)) == o."""
     doc = {
-        NODES_KEY: [_chain_string(name, onto.class_ancestors(name)) for name in sorted(onto.class_parent)],
-        PROPERTIES_KEY: [
-            _chain_string(name, onto.property_ancestors(name)) for name in sorted(onto.property_parent)
-        ],
+        NODES_KEY: _chain_strings(onto._lineages["class"]),
+        PROPERTIES_KEY: _chain_strings(onto._lineages["property"]),
         POTENTIAL_TRIPLES_KEY: [t.as_list() for t in sorted(onto.potential_triples)],
     }
     return json.dumps(doc, indent=2, ensure_ascii=False)
@@ -113,34 +109,28 @@ def serialize_ontology(onto: Ontology) -> str:
 
 def is_subclass_of(onto: Ontology, a: str, b: str) -> bool:
     """True iff b is a (or an ancestor of a); reflexive and transitive."""
-    return _descends(onto.class_parent, a, b, "class")
+    return _in_lineage(onto, "class", a, b)
 
 
 def is_subproperty_of(onto: Ontology, a: str, b: str) -> bool:
-    return _descends(onto.property_parent, a, b, "property")
+    return _in_lineage(onto, "property", a, b)
 
 
 def refinements(onto: Ontology, t: PotentialTriple) -> frozenset[PotentialTriple]:
     """All triples obtained by narrowing t's subject/object to subclasses, t included."""
-    _require_declared(onto.property_parent, t.property, "property")
-    subjects = [c for c in sorted(onto.classes) if is_subclass_of(onto, c, t.subject)]
-    objects = [c for c in sorted(onto.classes) if is_subclass_of(onto, c, t.object)]
+    _lineage(onto, "property", t.property)
+    subjects, objects = (_subclasses(onto, name) for name in (t.subject, t.object))
     return frozenset(PotentialTriple(s, t.property, o) for s in subjects for o in objects)
 
 
 def triple_is_legal(onto: Ontology, subject: str, property: str, object: str) -> bool:
     """True iff some declared potential triple generalizes (subject, property, object)."""
-    _require_declared(onto.class_parent, subject, "class")
-    _require_declared(onto.class_parent, object, "class")
-    _require_declared(onto.property_parent, property, "property")
-    for candidate in onto.potential_triples:
-        if (
-            is_subclass_of(onto, subject, candidate.subject)
-            and is_subclass_of(onto, object, candidate.object)
-            and is_subproperty_of(onto, property, candidate.property)
-        ):
-            return True
-    return False
+    subjects, objects = (_lineage(onto, "class", name) for name in (subject, object))
+    properties = _lineage(onto, "property", property)
+    return any(
+        t.subject in subjects and t.object in objects and t.property in properties
+        for t in onto.potential_triples
+    )
 
 
 # --- internals ---------------------------------------------------------------
@@ -175,37 +165,45 @@ def _pin(pinned: dict[str, str | None], child: str, parent: str | None, kind: st
     pinned[child] = parent
 
 
-def _require_acyclic(parents: Mapping[str, str | None], kind: str) -> None:
+def _build_lineages(parents: Mapping[str, str | None], kind: str) -> dict[str, tuple[str, ...]]:
+    """Each name's lineage: the name, then its ancestors, nearest first. A walk
+    stops at the first ancestor whose lineage is built, so each parent link is
+    followed once; a name met twice on one walk closes a cycle."""
+    lineages: dict[str, tuple[str, ...]] = {}
     for start in parents:
-        seen = {start}
-        current = parents[start]
-        while current is not None:
-            if current in seen:
+        path, on_path, current = [], set(), start
+        while current is not None and current not in lineages:
+            if current in on_path:
                 raise InheritanceCycleError(f"{kind} inheritance cycles at {current!r}")
-            seen.add(current)
+            path.append(current)
+            on_path.add(current)
             current = parents[current]
+        lineage = () if current is None else lineages[current]
+        for name in reversed(path):
+            lineage = (name, *lineage)
+            lineages[name] = lineage
+    return lineages
 
 
-def _ancestors(parents: Mapping[str, str | None], name: str, kind: str) -> tuple[str, ...]:
-    _require_declared(parents, name, kind)
-    chain = []
-    current = parents[name]
-    while current is not None:
-        chain.append(current)
-        current = parents[current]
-    return tuple(chain)
+def _lineage(onto: Ontology, kind: str, name: str) -> tuple[str, ...]:
+    try:
+        return onto._lineages[kind][name]
+    except KeyError:
+        raise DanglingNameError(f"{kind} {name!r} is not declared in the ontology") from None
 
 
-def _chain_string(name: str, ancestors: tuple[str, ...]) -> str:
-    return f" {CHAIN_SEPARATOR} ".join((name, *ancestors)).strip()
-
-
-def _descends(parents: Mapping[str, str | None], a: str, b: str, kind: str) -> bool:
-    lineage = (a, *_ancestors(parents, a, kind))
-    _require_declared(parents, b, kind)
+def _in_lineage(onto: Ontology, kind: str, a: str, b: str) -> bool:
+    lineage = _lineage(onto, kind, a)
+    _lineage(onto, kind, b)
     return b in lineage
 
 
-def _require_declared(parents: Mapping[str, str | None], name: str, kind: str) -> None:
-    if name not in parents:
-        raise DanglingNameError(f"{kind} {name!r} is not declared in the ontology")
+def _subclasses(onto: Ontology, name: str) -> list[str]:
+    """The class and its subclasses, sorted."""
+    _lineage(onto, "class", name)
+    lineages = onto._lineages["class"]
+    return [c for c in sorted(lineages) if name in lineages[c]]
+
+
+def _chain_strings(lineages: Mapping[str, tuple[str, ...]]) -> list[str]:
+    return [f" {CHAIN_SEPARATOR} ".join(lineages[name]).strip() for name in sorted(lineages)]

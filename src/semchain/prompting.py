@@ -95,10 +95,7 @@ def build_system_prompt(
 
 
 def build_chain1_prompt(new_table: SerializedTable, template: PromptTemplate | None = None) -> str:
-    template = template or PromptTemplate.load()
-    if not new_table.text.strip():
-        raise FormatError("serialized table is empty")
-    return _substitute(template.chain1, {"TABLE": new_table.text})
+    return _table_prompt(new_table, "chain1", template)
 
 
 def build_chain2_prompt(step1_answer: str, template: PromptTemplate | None = None) -> str:
@@ -116,13 +113,18 @@ def build_chain2_prompt(step1_answer: str, template: PromptTemplate | None = Non
 
 def build_combined_prompt(new_table: SerializedTable, template: PromptTemplate | None = None) -> str:
     """Single prompt asking for both steps at once (chaining disabled)."""
-    template = template or PromptTemplate.load()
-    if not new_table.text.strip():
-        raise FormatError("serialized table is empty")
-    return _substitute(template.combined, {"TABLE": new_table.text})
+    return _table_prompt(new_table, "combined", template)
 
 
 # --- internals ---------------------------------------------------------------
+
+def _table_prompt(new_table: SerializedTable, part: str, template: PromptTemplate | None) -> str:
+    """Render the template part whose one placeholder is the serialized table."""
+    template = template or PromptTemplate.load()
+    if not new_table.text.strip():
+        raise FormatError("serialized table is empty")
+    return _substitute(getattr(template, part), {"TABLE": new_table.text})
+
 
 def _read_template(name: str, directory: str | Path | None) -> str:
     try:
@@ -145,10 +147,5 @@ def _check_placeholders(text: str, required: set[str], part: str) -> None:
 
 def _substitute(template: str, values: dict[str, str]) -> str:
     # One pass over the template only, so substituted payloads are never rescanned.
-    def repl(match: re.Match) -> str:
-        key = match.group(1)
-        if key not in values:
-            raise TemplateError(f"no value for placeholder {{${key}}}")
-        return values[key]
-
-    return PLACEHOLDER_RE.sub(repl, template)
+    # PromptTemplate holds exactly each part's placeholders, and every caller fills them all.
+    return PLACEHOLDER_RE.sub(lambda match: values[match.group(1)], template)

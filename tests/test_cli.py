@@ -1,13 +1,15 @@
 from __future__ import annotations
 
 import csv
+import hashlib
 import json
+import math
 import shutil
 from pathlib import Path
 
 import pytest
 
-from semchain import Completion, split_dataset
+from semchain import Completion, PromptTemplate, load_rules, split_dataset
 from semchain.cli import main
 
 from helpers import DEEPLY_NESTED
@@ -250,6 +252,60 @@ def test_run_single_source(toy_dir, tmp_path, capout):
     )
 
 
+def test_run_strict_drops_an_illegal_link_and_says_so(toy_dir, tmp_path, capout):
+    gold = json.loads((toy_dir / "gold" / "artists.json").read_text(encoding="utf-8"))
+    # Nothing in the toy ontology lets a person bring a birth into life.
+    illegal = ["crm:E21_Person1", "crm:P98_brought_into_life", "crm:E67_Birth1"]
+    mock_gold = tmp_path / "artists.json"
+    mock_gold.write_text(
+        json.dumps({**gold, "internal_link_triples": gold["internal_link_triples"] + [illegal]}),
+        encoding="utf-8",
+    )
+    prompt = tmp_path / "system.txt"
+    prompt.write_text("system", encoding="utf-8")
+    out_dir = tmp_path / "run"
+    code = main(
+        [
+            "run",
+            "--system-prompt", str(prompt),
+            "--source", str(toy_dir / "sources" / "artists.csv"),
+            "--mock-gold", str(mock_gold),
+            "--ontology", str(toy_dir / "ontology.json"),
+            "--strict",
+            "--out", str(out_dir),
+        ]
+    )
+    assert code == 0
+    assert capout().out == f"artists: 3 labels, 4 links -> {out_dir}\n"
+    raw = json.loads((out_dir / "raw_model.json").read_text(encoding="utf-8"))
+    final = json.loads((out_dir / "final_model.json").read_text(encoding="utf-8"))
+    assert illegal in raw["internal_link_triples"]
+    assert sorted(final["internal_link_triples"]) == sorted(gold["internal_link_triples"])
+    assert (out_dir / "notes.txt").read_text(encoding="utf-8") == "strict validation dropped 1 internal link(s)\n"
+
+
+def test_template_and_rule_dirs_resolve_against_the_config_file(toy_dir, tmp_path, capout):
+    templates = PromptTemplate.load()
+    (tmp_path / "tpl").mkdir()
+    for part in ("system", "example", "chain1", "chain2", "combined"):
+        text = getattr(templates, part) + ("\nHouse style: be brief.\n" if part == "system" else "")
+        (tmp_path / "tpl" / f"{part}.txt").write_text(text, encoding="utf-8")
+    rules = (load_rules()[0] + "\nRule zero: name every attribute.\n", load_rules()[1])
+    (tmp_path / "rules").mkdir()
+    for name, text in zip(("rules_step1.txt", "rules_step2.txt"), rules):
+        (tmp_path / "rules" / name).write_text(text, encoding="utf-8")
+    config = _write_config(toy_dir, tmp_path, templates_dir="tpl", rules_dir="rules")
+    assert main(["experiment", "--config", str(config)]) == 0
+    out = tmp_path / "out"
+    prompt = (out / "system_prompt.txt").read_text(encoding="utf-8")
+    assert "House style: be brief." in prompt
+    assert "Rule zero: name every attribute." in prompt
+    meta = json.loads((out / "run_meta.json").read_text(encoding="utf-8"))
+    system_text = (tmp_path / "tpl" / "system.txt").read_text(encoding="utf-8")
+    assert meta["template_sha256"]["system"] == hashlib.sha256(system_text.encode("utf-8")).hexdigest()
+    assert meta["rules_sha256"] == [hashlib.sha256(text.encode("utf-8")).hexdigest() for text in rules]
+
+
 def test_run_writes_the_experiment_source_files(toy_dir, tmp_path, capout):
     config = _write_config(toy_dir, tmp_path)
     assert main(["experiment", "--config", str(config)]) == 0
@@ -366,6 +422,17 @@ def test_bad_json_input_prints_one_error_and_exits_one(command, text, toy_dir, t
         ("base_url", {"provider": {"kind": "http", "base_url": "api.example.com/v1", "model_name": "m"}}),
         ("base_url", {"provider": {"kind": "http", "base_url": "ftp://example.com", "model_name": "m"}}),
         ("base_url", {"provider": {"kind": "http", "base_url": "http://", "model_name": "m"}}),
+        (
+            "environment variable 'SEMCHAIN_TEST_UNSET_KEY' is not set",
+            {"provider": {"kind": "http", "base_url": "https://api.example.test/v1", "model_name": "m",
+                          "api_key_env": "SEMCHAIN_TEST_UNSET_KEY"}},
+        ),
+        ("max_tokens", {"provider": {"kind": "http", "base_url": "http://x", "model_name": "m", "max_tokens": 0}}),
+        ("timeout", {"provider": {"kind": "http", "base_url": "http://x", "model_name": "m", "timeout": math.nan}}),
+        (
+            "temperature",
+            {"provider": {"kind": "http", "base_url": "http://x", "model_name": "m", "temperature": math.inf}},
+        ),
     ],
     ids=[
         "chain-key", "chain-not-object", "provider-key", "provider-not-object",
@@ -374,6 +441,7 @@ def test_bad_json_input_prints_one_error_and_exits_one(command, text, toy_dir, t
         "corruption-drop-float", "corruption-rename-float", "corruption-stages-string",
         "http-base-url-int", "http-retries-float",
         "http-base-url-no-scheme", "http-base-url-ftp", "http-base-url-no-host",
+        "http-key-unset", "http-max-tokens-zero", "http-timeout-nan", "http-temperature-infinity",
     ],
 )
 def test_bad_config_mappings_exit_one(what, extra, toy_dir, tmp_path, capout):

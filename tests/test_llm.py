@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 import random
 import re
 import time
@@ -353,6 +354,11 @@ class TestHttpProvider:
         with pytest.raises(AuthError):
             _provider([_ok_response()]).complete("s", [])
 
+    def test_key_is_read_once_when_the_provider_is_built(self, monkeypatch):
+        provider = _provider([_ok_response()])
+        monkeypatch.delenv("SEMCHAIN_TEST_KEY")
+        assert provider.complete("s", []).text == "hello"
+
     def test_unauthorized_is_auth_error(self):
         with pytest.raises(AuthError):
             _provider([_FakeResponse(401, text="nope")]).complete("s", [])
@@ -455,6 +461,22 @@ def test_provider_config_validation():
         ProviderConfig(base_url="http://localhost", model_name="m", temperature=-0.1)
     with pytest.raises(ValueError):
         ProviderConfig(base_url="http://localhost", model_name="m", timeout=0)
+
+
+@pytest.mark.parametrize(
+    "setting, message",
+    [
+        ({"max_tokens": 0}, "max_tokens must be >= 1"),
+        ({"temperature": math.inf}, "temperature must be a finite number, got inf"),
+        ({"temperature": math.nan}, "temperature must be a finite number, got nan"),
+        ({"timeout": math.nan}, "timeout must be a finite number, got nan"),
+        ({"timeout": math.inf}, "timeout must be a finite number, got inf"),
+    ],
+    ids=["max-tokens-zero", "temperature-infinity", "temperature-nan", "timeout-nan", "timeout-infinity"],
+)
+def test_provider_config_rejects_unusable_numbers(setting, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        ProviderConfig(base_url="http://localhost", model_name="m", **setting)
 
 
 @pytest.mark.parametrize(

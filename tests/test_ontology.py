@@ -152,6 +152,43 @@ def test_triple_is_legal_matches_full_enumeration():
                     assert triple_is_legal(onto, s, p, o) == expected
 
 
+def test_triple_is_legal_matches_an_oracle_with_property_hierarchies():
+    rng = random.Random(11)
+    for _ in range(25):
+        classes = _random_forest(rng, rng.randint(2, 9))
+        props = {
+            f"p{name[1:]}": None if parent is None else f"p{parent[1:]}"
+            for name, parent in _random_forest(rng, rng.randint(2, 6)).items()
+        }
+        declared = {
+            PotentialTriple(rng.choice(sorted(classes)), rng.choice(sorted(props)), rng.choice(sorted(classes)))
+            for _ in range(rng.randint(1, 5))
+        }
+        onto = Ontology(classes, props, frozenset(declared))
+
+        def up(parents, name):
+            return {name} | transitive_ancestors_bruteforce(parents, name)
+
+        for s in classes:
+            for p in props:
+                for o in classes:
+                    expected = any(
+                        t.subject in up(classes, s) and t.property in up(props, p) and t.object in up(classes, o)
+                        for t in declared
+                    )
+                    assert triple_is_legal(onto, s, p, o) == expected, (classes, props, declared, s, p, o)
+
+
+def test_a_deep_class_chain_parses():
+    depth = 3000
+    nodes = ["C0"] + [f"C{i} -> C{i - 1}" for i in range(1, depth)]
+    onto = parse_ontology(json.dumps({"Nodes": nodes, "Properties": ["p"], "Potential triples": []}))
+    deepest = onto.class_ancestors(f"C{depth - 1}")
+    assert len(deepest) == depth - 1
+    assert deepest[0] == f"C{depth - 2}" and deepest[-1] == "C0"
+    assert is_subclass_of(onto, f"C{depth - 1}", "C0")
+
+
 def test_property_hierarchy_counts_for_legality():
     onto = parse_ontology(
         json.dumps(

@@ -8,6 +8,7 @@ import dataclasses
 import hashlib
 import json
 import math
+import os
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -193,8 +194,12 @@ def load_tables(
 
     A source that fails to parse maps to its error instead of raising.
     """
+    return _read_tables(_source_files(sources_dir), record_cap)
+
+
+def _read_tables(paths: Mapping[str, Path], record_cap: int | None) -> dict[str, Table | SemchainError]:
     tables: dict[str, Table | SemchainError] = {}
-    for sid, path in _source_files(sources_dir).items():
+    for sid, path in paths.items():
         try:
             tables[sid] = read_table(path, record_cap=record_cap)
         except SemchainError as exc:
@@ -203,10 +208,13 @@ def load_tables(
 
 
 def _source_files(sources_dir: str | Path) -> dict[str, Path]:
+    """Source files by stem, matching suffixes regardless of case."""
     sources_dir = Path(sources_dir)
     paths: dict[str, Path] = {}
-    for path in sorted(sources_dir.iterdir()):
-        if path.suffix.lower() not in SOURCE_SUFFIXES or not path.is_file():
+    with os.scandir(sources_dir) as entries:
+        files = sorted(Path(entry.path) for entry in entries if entry.is_file())
+    for path in files:
+        if path.suffix.lower() not in SOURCE_SUFFIXES:
             continue
         if path.stem in paths:
             raise ValueError(f"duplicate source id {path.stem!r} in {sources_dir}")
@@ -231,11 +239,20 @@ def read_model_file(path: str | Path, *, labels_ok: bool = False) -> sm.Semantic
 
 
 def load_gold_models(gold_dir: str | Path) -> dict[str, sm.SemanticModel]:
+    return {sid: read_model_file(path) for sid, path in _gold_files(gold_dir).items()}
+
+
+def _gold_files(gold_dir: str | Path) -> dict[str, Path]:
+    """Gold model files (`*.json`) by stem; a missing directory holds none."""
     gold_dir = Path(gold_dir)
-    golds = {path.stem: read_model_file(path) for path in sorted(gold_dir.glob("*.json"))}
-    if not golds:
+    try:
+        with os.scandir(gold_dir) as entries:
+            paths = sorted(Path(entry.path) for entry in entries if entry.name.endswith(".json") and entry.is_file())
+    except (FileNotFoundError, NotADirectoryError):
+        paths = []
+    if not paths:
         raise ValueError(f"no gold models found in {gold_dir}")
-    return golds
+    return {path.stem: path for path in paths}
 
 
 def make_provider(spec: Mapping, golds: Mapping[str, sm.SemanticModel]) -> Provider:
@@ -261,7 +278,11 @@ def provider_label(spec: Mapping) -> str:
 
 @dataclass(frozen=True)
 class Experiment:
-    """Everything an experiment reads before its first provider call."""
+    """Everything an experiment reads before its first provider call.
+
+    `source_ids` lists every source file; `tables` and `golds` hold the
+    split's known and test sources only.
+    """
 
     tables: Mapping[str, Table | SemchainError]
     golds: Mapping[str, sm.SemanticModel]
@@ -270,24 +291,30 @@ class Experiment:
     templates: prompting.PromptTemplate
     rules: tuple[str, str]
     system_prompt: str
+    source_ids: tuple[str, ...]
 
 
 def prepare_experiment(config: ExperimentConfig) -> Experiment:
-    """Load the sources, golds and ontology, split the sources and assemble
-    the system prompt from the known ones.
+    """List the sources and golds, split the sources, read the split's files
+    and the ontology, and assemble the system prompt from the known sources.
 
-    A source that failed to parse maps to its error; the split still counts
-    it, and that error is raised if the source is a known one.
+    Every source needs a gold file, but files outside the split are never
+    read. A split source that fails to parse maps to its error, which is
+    raised if the source is a known one.
     """
-    tables = load_tables(config.sources_dir, config.record_cap)
-    golds = load_gold_models(config.gold_dir)
-    ontology = onto_mod.parse_ontology(config.ontology_path.read_text(encoding="utf-8"))
-    missing = sorted(set(tables) - set(golds))
+    source_paths = _source_files(config.sources_dir)
+    gold_paths = _gold_files(config.gold_dir)
+    missing = sorted(set(source_paths) - set(gold_paths))
     if missing:
         raise ValueError(f"sources without gold models: {missing}")
+    ontology = onto_mod.parse_ontology(config.ontology_path.read_text(encoding="utf-8"))
     templates = prompting.PromptTemplate.load(config.templates_dir)
     rules = prompting.load_rules(config.rules_dir)
-    split = split_dataset(sorted(tables), config.random_state, config.test_size, config.shot)
+    source_ids = tuple(sorted(source_paths))
+    split = split_dataset(source_ids, config.random_state, config.test_size, config.shot)
+    used = split.known + split.test
+    tables = _read_tables({sid: source_paths[sid] for sid in used}, config.record_cap)
+    golds = {sid: read_model_file(gold_paths[sid]) for sid in used}
     for sid in split.known:
         if isinstance(tables[sid], SemchainError):
             raise tables[sid]
@@ -301,7 +328,7 @@ def prepare_experiment(config: ExperimentConfig) -> Experiment:
     ]
     onto_json = onto_mod.serialize_ontology(ontology)
     system_prompt = prompting.build_system_prompt(onto_json, examples, rules, templates)
-    return Experiment(tables, golds, ontology, split, templates, rules, system_prompt)
+    return Experiment(tables, golds, ontology, split, templates, rules, system_prompt, source_ids)
 
 
 def run_experiment(config: ExperimentConfig, provider: Provider | None = None) -> ev.EvalReport:
@@ -375,7 +402,7 @@ def _run_arms(arms: Sequence[ExperimentConfig], provider: Provider | None) -> li
             for path in out.glob(f"sources/*/{name}"):
                 path.unlink()
         (out / "split.json").write_text(
-            split.to_json(sorted(experiment.tables), arm.random_state, arm.test_size, arm.shot) + "\n",
+            split.to_json(experiment.source_ids, arm.random_state, arm.test_size, arm.shot) + "\n",
             encoding="utf-8",
         )
         (out / "system_prompt.txt").write_text(experiment.system_prompt, encoding="utf-8")

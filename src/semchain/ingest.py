@@ -214,6 +214,9 @@ def _locate_records(doc, source_id: str) -> list[dict]:
             for value in doc.values()
             if isinstance(value, list) and all(isinstance(item, dict) for item in value)
         ]
+        # An empty array beside a non-empty one holds no records; it only
+        # counts when every candidate is empty.
+        candidates = [value for value in candidates if value] or candidates
         if len(candidates) != 1:
             raise FormatError(
                 f"{source_id}: expected exactly one array-of-records field, found {len(candidates)}"

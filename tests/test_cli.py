@@ -453,6 +453,15 @@ def test_bad_config_mappings_exit_one(what, extra, toy_dir, tmp_path, capout):
     assert not (tmp_path / "out").exists()
 
 
+def test_a_missing_gold_directory_exits_one(toy_dir, tmp_path, capout):
+    config = _write_config(toy_dir, tmp_path, gold_dir=str(tmp_path / "no-such-gold"))
+    assert main(["experiment", "--config", str(config)]) == 1
+    err = capout().err
+    assert err.startswith("error: no gold models found in ")
+    assert err.count("\n") == 1
+    assert not (tmp_path / "out").exists()
+
+
 def test_a_deeply_nested_reply_fails_only_its_source(monkeypatch, toy_dir, tmp_path, capout):
     from semchain import harness
 

@@ -567,6 +567,102 @@ class TestExperiment:
         with pytest.raises(FormatError, match=r"^bad\.json: model: not JSON: "):
             load_gold_models(gold_dir)
 
+    def test_a_missing_gold_directory_is_a_config_error(self, toy_config, tmp_path):
+        with pytest.raises(ValueError, match="^no gold models found in "):
+            run_experiment(toy_config(gold_dir=tmp_path / "no-such-gold"))
+        assert not (tmp_path / "run").exists()
+
+
+class TestSourceListing:
+    def _sources(self, tmp_path, *names):
+        sources = tmp_path / "sources"
+        sources.mkdir()
+        for name in names:
+            (sources / name).write_text("a,b\n1,2\n", encoding="utf-8")
+        return sources
+
+    def test_suffixes_match_regardless_of_case(self, tmp_path):
+        tables = load_tables(self._sources(tmp_path, "upper.CSV", "mixed.Csv", "lower.csv"))
+        assert sorted(tables) == ["lower", "mixed", "upper"]
+        assert all(isinstance(table, Table) for table in tables.values())
+
+    def test_directories_and_other_suffixes_are_skipped(self, tmp_path):
+        sources = self._sources(tmp_path, "kept.csv", "notes.txt", "kept.csv.bak", "README")
+        (sources / "folder.csv").mkdir()
+        (sources / "kept").mkdir()
+        assert list(load_tables(sources)) == ["kept"]
+
+    def test_two_files_with_one_stem_are_a_duplicate_source_id(self, tmp_path):
+        sources = self._sources(tmp_path, "artists.csv", "other.csv")
+        (sources / "artists.json").write_text('[{"a": 1}]', encoding="utf-8")
+        with pytest.raises(ValueError, match="duplicate source id 'artists'"):
+            load_tables(sources)
+
+    def test_an_empty_directory_has_no_source_files(self, tmp_path):
+        with pytest.raises(ValueError, match="no source files found"):
+            load_tables(self._sources(tmp_path))
+
+
+class TestSetupReadsOnlyTheSplit:
+    """With shot one the toy split has three test sources, one known and
+    two that the run never uses."""
+
+    UNPARSABLE = {".csv": b"a,a\n1,2\n", ".json": b"{not json", ".xml": b"<unclosed>"}
+
+    def _dataset(self, toy_dir, tmp_path):
+        dataset = tmp_path / "dataset"
+        shutil.copytree(toy_dir, dataset)
+        paths = {p.stem: p for p in (dataset / "sources").iterdir()}
+        split = split_dataset(sorted(paths), 2023, 0.5, "one")
+        unused = sorted(set(paths) - set(split.known) - set(split.test))
+        assert (len(split.test), len(split.known), len(unused)) == (3, 1, 2)
+        return dataset, paths, split, unused
+
+    def _config(self, toy_config, dataset):
+        return toy_config(sources_dir=dataset / "sources", gold_dir=dataset / "gold", shot="one", random_state=2023)
+
+    def test_unused_files_are_never_read(self, monkeypatch, toy_config, toy_dir, tmp_path):
+        from semchain import harness
+
+        dataset, paths, split, unused = self._dataset(toy_dir, tmp_path)
+        for sid in unused:
+            paths[sid].write_bytes(self.UNPARSABLE[paths[sid].suffix])
+            (dataset / "gold" / f"{sid}.json").write_text("{not json", encoding="utf-8")
+        parse_source, read_model_file = harness.parse_source, harness.read_model_file
+        parsed, read = [], []
+
+        def counted_parse(raw_bytes, fmt, source_id, record_cap=None):
+            parsed.append(source_id)
+            return parse_source(raw_bytes, fmt, source_id, record_cap)
+
+        def counted_read(path, **kwargs):
+            read.append(Path(path).stem)
+            return read_model_file(path, **kwargs)
+
+        monkeypatch.setattr(harness, "parse_source", counted_parse)
+        monkeypatch.setattr(harness, "read_model_file", counted_read)
+        config = self._config(toy_config, dataset)
+        report = run_experiment(config)
+
+        assert not report.has_failures()
+        assert {row.source_id for row in report.rows} == set(split.test)
+        assert all((row.precision, row.recall) == (1.0, 1.0) for row in report.rows)
+        assert json.loads((config.out_dir / "split.json").read_text())["source_ids"] == sorted(paths)
+        assert sorted(parsed) == sorted(read) == sorted(split.known + split.test)
+
+    def test_a_bad_gold_file_of_a_test_source_stops_the_run(self, toy_config, toy_dir, tmp_path):
+        dataset, _, split, _ = self._dataset(toy_dir, tmp_path)
+        bad = split.test[0]
+        (dataset / "gold" / f"{bad}.json").write_text("{not json", encoding="utf-8")
+        with pytest.raises(FormatError, match=rf"^{bad}\.json: model: not JSON: "):
+            run_experiment(self._config(toy_config, dataset))
+
+    def test_an_unused_source_without_gold_is_a_config_error(self, toy_config, toy_dir, tmp_path):
+        dataset, _, _, unused = self._dataset(toy_dir, tmp_path)
+        (dataset / "gold" / f"{unused[0]}.json").unlink()
+        with pytest.raises(ValueError, match=rf"without gold models: \['{unused[0]}'\]"):
+            run_experiment(self._config(toy_config, dataset))
+
 
 @pytest.mark.parametrize(
     "field, value",

@@ -38,6 +38,30 @@ def test_parse_json_wrapped_array():
     assert table.records == ({"a": "x"},)
 
 
+@pytest.mark.parametrize(
+    "raw",
+    [b'{"warnings": [], "records": [{"a": 1}]}', b'{"records": [{"a": 1}], "warnings": []}'],
+)
+def test_parse_json_empty_array_beside_the_records_is_ignored(raw):
+    table = parse_source(raw, SourceFormat.JSON, "x")
+    assert table.attributes == ("a",)
+    assert table.records == ({"a": "1"},)
+
+
+def test_parse_json_wrapped_empty_records_is_an_empty_source():
+    with pytest.raises(EmptySourceError):
+        parse_source(b'{"records": []}', SourceFormat.JSON, "x")
+
+
+@pytest.mark.parametrize(
+    "raw",
+    [b'{"a": [{"x": 1}], "b": [{"y": 2}]}', b'{"a": [], "b": []}', b'{"a": [], "b": [{"x": 1}], "c": [{"y": 2}]}'],
+)
+def test_parse_json_two_record_arrays_are_ambiguous(raw):
+    with pytest.raises(FormatError, match="array-of-records field, found 2"):
+        parse_source(raw, SourceFormat.JSON, "x")
+
+
 def test_parse_json_nested_fields_flatten_with_dots():
     raw = b'[{"artist": {"name": "Monet", "born": 1840}, "title": "Poppies"}]'
     table = parse_source(raw, SourceFormat.JSON, "t")

@@ -12,7 +12,7 @@ from . import harness
 from . import ontology as onto_mod
 from . import semantic_model as sm
 from .chain import ChainConfig, run_chain
-from .errors import SemchainError
+from .errors import SemchainError, decode_text
 from .ingest import DEFAULT_RECORD_CAP, SourceFormat, parse_source, serialize_table
 from .llm import MockProvider, MockScript
 
@@ -116,7 +116,7 @@ def _cmd_ingest(args) -> int:
 
 
 def _cmd_serialize_ontology(args) -> int:
-    onto = onto_mod.parse_ontology(args.ontology.read_text(encoding="utf-8"))
+    onto = onto_mod.parse_ontology(decode_text(args.ontology.read_bytes(), args.ontology.name))
     _emit(onto_mod.serialize_ontology(onto), args.out)
     return EXIT_OK
 
@@ -128,10 +128,10 @@ def _cmd_build_prompt(args) -> int:
 
 def _cmd_run(args) -> int:
     table = harness.read_table(args.source, record_cap=args.record_cap)
-    system_prompt = args.system_prompt.read_text(encoding="utf-8")
+    system_prompt = decode_text(args.system_prompt.read_bytes(), args.system_prompt.name)
     ontology = None
     if args.ontology:
-        ontology = onto_mod.parse_ontology(args.ontology.read_text(encoding="utf-8"))
+        ontology = onto_mod.parse_ontology(decode_text(args.ontology.read_bytes(), args.ontology.name))
     gold = harness.read_model_file(args.mock_gold)
     provider = MockProvider(MockScript.from_gold({table.source_id: gold}))
     config = ChainConfig(
@@ -204,9 +204,9 @@ def _cmd_lint_gold(args) -> int:
 
 def _load_config(args) -> harness.ExperimentConfig:
     config = harness.ExperimentConfig.from_file(args.config)
-    if getattr(args, "shot", None):
+    if getattr(args, "shot", None) is not None:
         shot = args.shot
-        config.shot = int(shot) if shot.isdigit() else shot
+        config.shot = int(shot) if shot.isdecimal() else shot
     if getattr(args, "random_state", None) is not None:
         config.random_state = args.random_state
     if getattr(args, "out", None):

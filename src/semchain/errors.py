@@ -1,4 +1,4 @@
-"""Exception types shared across the package, and the decoder of outside JSON."""
+"""Exception types shared across the package, and the decoders of outside text and JSON."""
 
 import json
 
@@ -25,6 +25,15 @@ def require_types(obj, names: tuple[str, ...], types) -> None:
         if (isinstance(value, bool) and types is not bool) or not isinstance(value, types):
             kind = {bool: "true or false", int: "an integer", str: "a string"}.get(types, "a number")
             raise TypeError(f"{name} must be {kind}, got {value!r}")
+
+
+def decode_text(raw: bytes, what: str) -> str:
+    """Decode a file from outside the program as UTF-8 without a leading BOM;
+    other bytes are a FormatError naming `what`."""
+    try:
+        return raw.decode("utf-8-sig")
+    except UnicodeDecodeError as exc:
+        raise FormatError(f"{what}: not UTF-8: {exc}") from None
 
 
 def decode_json(text: str, what: str):

@@ -11,6 +11,7 @@ import math
 import os
 import time
 from dataclasses import dataclass, field
+from operator import attrgetter
 from pathlib import Path
 from typing import Mapping, Sequence
 
@@ -19,7 +20,7 @@ from . import ontology as onto_mod
 from . import prompting
 from . import semantic_model as sm
 from .chain import ChainConfig, ChainResult, run_chain
-from .errors import SemchainError, ShotTooLargeError, decode_json, require_types
+from .errors import SemchainError, ShotTooLargeError, decode_json, decode_text, require_types
 from .ingest import DEFAULT_RECORD_CAP, SourceFormat, Table, parse_source, serialize_table
 from .llm import CorruptionSpec, HttpProvider, MockProvider, MockScript, Provider, ProviderConfig
 
@@ -34,6 +35,7 @@ PRNG_DESCRIPTION = (
 
 SHOT_SETTINGS = ("one", "quarter", "half")
 SOURCE_SUFFIXES = (".csv", ".xml", ".json")
+GOLD_SUFFIXES = (".json",)
 # Every file write_source_artifacts writes; a rerun deletes no other file.
 _SOURCE_FILES = (
     "labels.json", "raw_model.json", "final_model.json", "transcript.jsonl", "notes.txt", "error.txt",
@@ -60,6 +62,9 @@ class Split:
         return json.dumps(doc, indent=2)
 
 
+_PATH_FIELDS = ("sources_dir", "ontology_path", "gold_dir", "out_dir", "templates_dir", "rules_dir")
+
+
 @dataclass
 class ExperimentConfig:
     """Everything one experiment run needs; loadable from a JSON file."""
@@ -80,12 +85,10 @@ class ExperimentConfig:
     aggregate_mode: str = "macro"
 
     def __post_init__(self) -> None:
-        for name in ("sources_dir", "ontology_path", "gold_dir", "out_dir"):
-            setattr(self, name, Path(getattr(self, name)))
-        if self.templates_dir is not None:
-            self.templates_dir = Path(self.templates_dir)
-        if self.rules_dir is not None:
-            self.rules_dir = Path(self.rules_dir)
+        for name in _PATH_FIELDS:
+            value = getattr(self, name)
+            if value is not None:
+                setattr(self, name, Path(value))
         require_types(self, ("random_state", "record_cap", "max_workers"), int)
         require_types(self, ("test_size",), (int, float))
         if not 0 < self.test_size < 1:
@@ -99,15 +102,16 @@ class ExperimentConfig:
 
     @classmethod
     def from_file(cls, path: str | Path) -> "ExperimentConfig":
-        raw = decode_json(Path(path).read_text(encoding="utf-8"), "config")
+        path = Path(path)
+        raw = decode_json(decode_text(path.read_bytes(), path.name), "config")
         if isinstance(raw, dict) and "chain" in raw:
             raw = {**raw, "chain": _from_mapping(ChainConfig, raw["chain"], "config chain")}
         config = _from_mapping(cls, raw, "config")
         # Relative paths in the file resolve against the file's directory.
-        for name in ("sources_dir", "ontology_path", "gold_dir", "out_dir", "templates_dir", "rules_dir"):
+        for name in _PATH_FIELDS:
             value = getattr(config, name)
             if value is not None and not value.is_absolute():
-                setattr(config, name, Path(path).parent / value)
+                setattr(config, name, path.parent / value)
         return config
 
 
@@ -194,7 +198,7 @@ def load_tables(
 
     A source that fails to parse maps to its error instead of raising.
     """
-    return _read_tables(_source_files(sources_dir), record_cap)
+    return _read_tables(_listed_files(sources_dir, SOURCE_SUFFIXES, "source files"), record_cap)
 
 
 def _read_tables(paths: Mapping[str, Path], record_cap: int | None) -> dict[str, Table | SemchainError]:
@@ -207,20 +211,24 @@ def _read_tables(paths: Mapping[str, Path], record_cap: int | None) -> dict[str,
     return tables
 
 
-def _source_files(sources_dir: str | Path) -> dict[str, Path]:
-    """Source files by stem, matching suffixes regardless of case."""
-    sources_dir = Path(sources_dir)
+def _listed_files(directory: str | Path, suffixes: tuple[str, ...], what: str) -> dict[str, Path]:
+    """Files in `directory` whose suffix, in any case, is one of `suffixes`,
+    by stem (the source id). Two files with one stem are an error, and so is
+    finding none, which names `what`; a missing directory holds none."""
     paths: dict[str, Path] = {}
-    with os.scandir(sources_dir) as entries:
-        files = sorted(Path(entry.path) for entry in entries if entry.is_file())
-    for path in files:
-        if path.suffix.lower() not in SOURCE_SUFFIXES:
-            continue
-        if path.stem in paths:
-            raise ValueError(f"duplicate source id {path.stem!r} in {sources_dir}")
-        paths[path.stem] = path
+    try:
+        with os.scandir(directory) as entries:
+            for entry in sorted(entries, key=attrgetter("name")):
+                stem, _, suffix = entry.name.rpartition(".")
+                if not (stem and "." + suffix.lower() in suffixes and entry.is_file()):
+                    continue
+                if stem in paths:
+                    raise ValueError(f"duplicate source id {stem!r} in {directory}")
+                paths[stem] = Path(entry.path)
+    except (FileNotFoundError, NotADirectoryError):
+        pass
     if not paths:
-        raise ValueError(f"no source files found in {sources_dir}")
+        raise ValueError(f"no {what} found in {directory}")
     return paths
 
 
@@ -229,30 +237,15 @@ def read_model_file(path: str | Path, *, labels_ok: bool = False) -> sm.Semantic
     document without links is read as a labels-only one."""
     path = Path(path)
     try:
-        text = path.read_text(encoding="utf-8")
-        if not labels_ok:
-            return sm.parse_model(text)
-        doc = decode_json(text, "model")
-        return sm.read_model(doc, links=not isinstance(doc, dict) or sm.INTERNAL_LINK_TRIPLES_KEY in doc)
+        doc = decode_json(decode_text(path.read_bytes(), "model"), "model")
+        links = not labels_ok or not isinstance(doc, dict) or sm.INTERNAL_LINK_TRIPLES_KEY in doc
+        return sm.read_model(doc, links=links)
     except SemchainError as exc:
         raise type(exc)(f"{path.name}: {exc}") from None
 
 
 def load_gold_models(gold_dir: str | Path) -> dict[str, sm.SemanticModel]:
-    return {sid: read_model_file(path) for sid, path in _gold_files(gold_dir).items()}
-
-
-def _gold_files(gold_dir: str | Path) -> dict[str, Path]:
-    """Gold model files (`*.json`) by stem; a missing directory holds none."""
-    gold_dir = Path(gold_dir)
-    try:
-        with os.scandir(gold_dir) as entries:
-            paths = sorted(Path(entry.path) for entry in entries if entry.name.endswith(".json") and entry.is_file())
-    except (FileNotFoundError, NotADirectoryError):
-        paths = []
-    if not paths:
-        raise ValueError(f"no gold models found in {gold_dir}")
-    return {path.stem: path for path in paths}
+    return {sid: read_model_file(path) for sid, path in _listed_files(gold_dir, GOLD_SUFFIXES, "gold models").items()}
 
 
 def make_provider(spec: Mapping, golds: Mapping[str, sm.SemanticModel]) -> Provider:
@@ -261,8 +254,11 @@ def make_provider(spec: Mapping, golds: Mapping[str, sm.SemanticModel]) -> Provi
         raise ValueError(f"provider must be a JSON object, got {type(spec).__name__}")
     kind = spec.get("kind", "mock")
     if kind == "mock":
+        unknown = sorted(set(spec) - {"kind", "corruption"})
+        if unknown:
+            raise ValueError(f"provider: unknown mock provider key(s) {unknown}")
         raw = spec.get("corruption")
-        corruption = _from_mapping(CorruptionSpec, raw, "provider corruption") if raw else None
+        corruption = None if raw is None else _from_mapping(CorruptionSpec, raw, "provider corruption")
         return MockProvider(MockScript.from_gold(golds, corruption))
     if kind == "http":
         params = {k: v for k, v in spec.items() if k != "kind"}
@@ -302,12 +298,12 @@ def prepare_experiment(config: ExperimentConfig) -> Experiment:
     read. A split source that fails to parse maps to its error, which is
     raised if the source is a known one.
     """
-    source_paths = _source_files(config.sources_dir)
-    gold_paths = _gold_files(config.gold_dir)
+    source_paths = _listed_files(config.sources_dir, SOURCE_SUFFIXES, "source files")
+    gold_paths = _listed_files(config.gold_dir, GOLD_SUFFIXES, "gold models")
     missing = sorted(set(source_paths) - set(gold_paths))
     if missing:
         raise ValueError(f"sources without gold models: {missing}")
-    ontology = onto_mod.parse_ontology(config.ontology_path.read_text(encoding="utf-8"))
+    ontology = onto_mod.parse_ontology(decode_text(config.ontology_path.read_bytes(), config.ontology_path.name))
     templates = prompting.PromptTemplate.load(config.templates_dir)
     rules = prompting.load_rules(config.rules_dir)
     source_ids = tuple(sorted(source_paths))
@@ -358,26 +354,19 @@ def run_ablation(config: ExperimentConfig, provider: Provider | None = None) -> 
         configs.append(dataclasses.replace(config, chain=chain, out_dir=out / "ablation" / name))
     reports = [run_experiment(configs[0], provider), *_run_arms(configs[1:], provider)]
     rows = []
-    for (name, _, _), report in zip(variants, reports):
-        precision, recall = report.aggregates.get(ev.MODELING, (0.0, 0.0))
-        rows.append(
-            {
-                "configuration": name,
-                "precision": precision,
-                "recall": recall,
-                "has_failures": report.has_failures(),
-            }
-        )
     out.mkdir(parents=True, exist_ok=True)
     with (out / "ablation.csv").open("w", newline="", encoding="utf-8") as handle:
-        writer = csv.DictWriter(handle, fieldnames=["configuration", "precision", "recall"])
-        writer.writeheader()
-        for row in rows:
-            writer.writerow(
+        writer = csv.writer(handle)
+        writer.writerow(["configuration", "precision", "recall"])
+        for (name, _, _), report in zip(variants, reports):
+            precision, recall = report.aggregates.get(ev.MODELING, (0.0, 0.0))
+            writer.writerow([name, f"{precision:.6f}", f"{recall:.6f}"])
+            rows.append(
                 {
-                    "configuration": row["configuration"],
-                    "precision": f"{row['precision']:.6f}",
-                    "recall": f"{row['recall']:.6f}",
+                    "configuration": name,
+                    "precision": precision,
+                    "recall": recall,
+                    "has_failures": report.has_failures(),
                 }
             )
     return rows
@@ -560,10 +549,7 @@ def write_source_artifacts(directory: Path, sid: str, result: ChainResult | str)
 
 
 def _write_report_csv(report: ev.EvalReport, path: Path) -> None:
-    fields = [
-        "source_id", "step", "precision", "recall", "gold_size",
-        "predicted_size", "intersection", "depth", "latency_ms", "tokens", "error",
-    ]
+    fields = [f.name for f in dataclasses.fields(ev.ScoreRow)]
     with path.open("w", newline="", encoding="utf-8") as handle:
         writer = csv.DictWriter(handle, fieldnames=fields)
         writer.writeheader()

@@ -13,7 +13,7 @@ from enum import Enum
 from operator import attrgetter
 from typing import Callable, Iterable, Iterator, Mapping
 
-from .errors import EmptySourceError, FormatError, decode_json
+from .errors import EmptySourceError, FormatError, decode_json, decode_text
 
 EMPTY = "<Empty>"
 DEFAULT_RECORD_CAP = 3
@@ -79,10 +79,7 @@ def parse_source(
     """
     if record_cap is not None and record_cap < 1:
         raise ValueError("record_cap must be >= 1")
-    try:
-        text = raw_bytes.decode("utf-8-sig")
-    except UnicodeDecodeError as exc:
-        raise FormatError(f"{source_id}: not UTF-8: {exc}") from None
+    text = decode_text(raw_bytes, source_id)
     cap = sys.maxsize if record_cap is None else record_cap
     fmt = SourceFormat(format)
     # The parsers build only acyclic containers (elements, dicts, lists), which

@@ -68,9 +68,6 @@ class Ontology:
         """Ancestor chain of a class, nearest parent first."""
         return _lineage(self, "class", name)[1:]
 
-    def property_ancestors(self, name: str) -> tuple[str, ...]:
-        return _lineage(self, "property", name)[1:]
-
 
 def parse_ontology(text: str) -> Ontology:
     """Read the three-field ontology JSON with "->" inheritance chains."""

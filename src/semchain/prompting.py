@@ -10,20 +10,13 @@ from pathlib import Path
 from typing import Sequence
 
 from .errors import (
-    EmptyExamplesError, FormatError, SemchainError, Step1ParseError, TemplateError, decode_json,
+    EmptyExamplesError, FormatError, SemchainError, Step1ParseError, TemplateError, decode_json, decode_text,
 )
 from .ingest import SerializedTable
 from .semantic_model import parse_labels
 
 PLACEHOLDER_RE = re.compile(r"\{\$([A-Za-z0-9_]+)\}")
 
-_TEMPLATE_FILES = {
-    "system": "system.txt",
-    "example": "example.txt",
-    "chain1": "chain1.txt",
-    "chain2": "chain2.txt",
-    "combined": "combined.txt",
-}
 _REQUIRED_PLACEHOLDERS = {
     "system": {"ONTOLOGY", "EXAMPLES"},
     "example": {"TABLE", "STEP1", "STEP2", "RULE_STEP1", "RULE_STEP2"},
@@ -50,7 +43,7 @@ class PromptTemplate:
 
     @classmethod
     def load(cls, directory: str | Path | None = None) -> "PromptTemplate":
-        texts = {part: _read_template(name, directory) for part, name in _TEMPLATE_FILES.items()}
+        texts = {part: _read_template(f"{part}.txt", directory) for part in _REQUIRED_PLACEHOLDERS}
         return cls(**texts)
 
 
@@ -127,12 +120,12 @@ def _table_prompt(new_table: SerializedTable, part: str, template: PromptTemplat
 
 
 def _read_template(name: str, directory: str | Path | None) -> str:
+    folder = resources.files(__package__) / "templates" if directory is None else Path(directory)
     try:
-        if directory is None:
-            return (resources.files(__package__) / "templates" / name).read_text(encoding="utf-8")
-        return (Path(directory) / name).read_text(encoding="utf-8")
+        raw = (folder / name).read_bytes()
     except (FileNotFoundError, NotADirectoryError) as exc:
         raise TemplateError(f"template {name!r} not found: {exc}") from None
+    return decode_text(raw, f"template {name!r}")
 
 
 def _check_placeholders(text: str, required: set[str], part: str) -> None:

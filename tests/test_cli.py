@@ -9,6 +9,7 @@ from pathlib import Path
 
 import pytest
 
+import semchain
 from semchain import Completion, PromptTemplate, load_rules, split_dataset
 from semchain.cli import main
 
@@ -433,6 +434,9 @@ def test_bad_json_input_prints_one_error_and_exits_one(command, text, toy_dir, t
             "temperature",
             {"provider": {"kind": "http", "base_url": "http://x", "model_name": "m", "temperature": math.inf}},
         ),
+        ("provider", {"provider": {"kind": "mock", "corruptoin": {"drop_triples": 1}}}),
+        ("provider corruption", {"provider": {"kind": "mock", "corruption": []}}),
+        ("provider corruption", {"provider": {"kind": "mock", "corruption": 0}}),
     ],
     ids=[
         "chain-key", "chain-not-object", "provider-key", "provider-not-object",
@@ -442,6 +446,7 @@ def test_bad_json_input_prints_one_error_and_exits_one(command, text, toy_dir, t
         "http-base-url-int", "http-retries-float",
         "http-base-url-no-scheme", "http-base-url-ftp", "http-base-url-no-host",
         "http-key-unset", "http-max-tokens-zero", "http-timeout-nan", "http-temperature-infinity",
+        "mock-key", "corruption-empty-list", "corruption-zero",
     ],
 )
 def test_bad_config_mappings_exit_one(what, extra, toy_dir, tmp_path, capout):
@@ -460,6 +465,88 @@ def test_a_missing_gold_directory_exits_one(toy_dir, tmp_path, capout):
     assert err.startswith("error: no gold models found in ")
     assert err.count("\n") == 1
     assert not (tmp_path / "out").exists()
+
+
+def _one_input_file(kind: str, toy_dir: Path, tmp_path: Path):
+    """A command that reads a file of `kind`, that file, and the name its errors give."""
+    gold = toy_dir / "gold" / "artists.json"
+    if kind == "model":
+        path = Path(shutil.copy(gold, tmp_path))
+        return ["eval", "--gold", str(path), "--pred", str(gold)], path, "artists.json: model"
+    if kind == "source":
+        path = Path(shutil.copy(toy_dir / "sources" / "artists.csv", tmp_path))
+        return ["ingest", str(path)], path, "artists"
+    if kind == "system-prompt":
+        path = tmp_path / "prompt.txt"
+        path.write_text("Model the table.\n", encoding="utf-8")
+        argv = ["run", "--system-prompt", str(path), "--source", str(toy_dir / "sources" / "artists.csv"),
+                "--mock-gold", str(gold), "--out", str(tmp_path / "single")]
+        return argv, path, "prompt.txt"
+    # The experiment set-up reads the rest, from copies the config names.
+    shutil.copytree(toy_dir / "gold", tmp_path / "gold")
+    shutil.copy(toy_dir / "ontology.json", tmp_path)
+    shutil.copytree(Path(semchain.__file__).parent / "templates", tmp_path / "tpl")
+    config = _write_config(
+        toy_dir, tmp_path, gold_dir="gold", ontology_path="ontology.json", templates_dir="tpl", rules_dir="tpl"
+    )
+    path, name = {
+        "config": (config, "config.json"),
+        "ontology": (tmp_path / "ontology.json", "ontology.json"),
+        "gold": (tmp_path / "gold" / "artists.json", "artists.json: model"),
+        "template": (tmp_path / "tpl" / "system.txt", "template 'system.txt'"),
+        "rules": (tmp_path / "tpl" / "rules_step1.txt", "template 'rules_step1.txt'"),
+    }[kind]
+    return ["experiment", "--config", str(config)], path, name
+
+
+INPUT_FILE_KINDS = ["config", "ontology", "gold", "model", "template", "rules", "system-prompt", "source"]
+
+
+@pytest.mark.parametrize("kind", INPUT_FILE_KINDS)
+def test_an_input_file_that_is_not_utf8_is_named_in_its_error(kind, toy_dir, tmp_path, capout):
+    argv, path, name = _one_input_file(kind, toy_dir, tmp_path)
+    # An é as an editor set to Latin-1 saves it.
+    path.write_bytes(path.read_bytes() + "\u00e9\n".encode("latin-1"))
+    assert main(argv) == 1
+    err = capout().err
+    assert err.startswith(f"error: {name}: not UTF-8: ")
+    assert err.count("\n") == 1
+
+
+@pytest.mark.parametrize("kind", INPUT_FILE_KINDS)
+def test_an_input_file_with_a_byte_order_mark_reads_as_without(kind, toy_dir, tmp_path, capout):
+    argv, path, _ = _one_input_file(kind, toy_dir, tmp_path)
+    prompt, transcript = tmp_path / "out" / "system_prompt.txt", tmp_path / "single" / "transcript.jsonl"
+
+    def outputs():
+        assert main(argv) == 0
+        return (
+            capout().out,
+            prompt.read_text(encoding="utf-8") if prompt.exists() else None,
+            _transcript_without_latency(transcript) if transcript.exists() else None,
+        )
+
+    plain = outputs()
+    path.write_bytes(b"\xef\xbb\xbf" + path.read_bytes())
+    assert outputs() == plain
+
+
+@pytest.mark.parametrize("shot", ["", "\u00b2"], ids=["empty", "superscript-two"])
+def test_a_shot_that_is_no_setting_or_count_exits_one(shot, toy_dir, tmp_path, capout):
+    config = _write_config(toy_dir, tmp_path)
+    assert main(["build-prompt", "--config", str(config), "--shot", shot]) == 1
+    err = capout().err
+    assert err.startswith("error: shot must be one of ")
+    assert err.count("\n") == 1
+
+
+def test_a_gold_file_with_an_upper_case_suffix_is_found(toy_dir, tmp_path, capout):
+    gold = tmp_path / "gold"
+    shutil.copytree(toy_dir / "gold", gold)
+    (gold / "artists.json").rename(gold / "artists.JSON")
+    config = _write_config(toy_dir, tmp_path, gold_dir=str(gold))
+    assert main(["experiment", "--config", str(config)]) == 0
+    assert "modeling: precision 1.000 recall 1.000" in capout().out
 
 
 def test_a_deeply_nested_reply_fails_only_its_source(monkeypatch, toy_dir, tmp_path, capout):

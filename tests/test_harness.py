@@ -602,6 +602,31 @@ class TestSourceListing:
         with pytest.raises(ValueError, match="no source files found"):
             load_tables(self._sources(tmp_path))
 
+    def test_a_missing_directory_has_no_source_files(self, tmp_path):
+        with pytest.raises(ValueError, match="^no source files found in "):
+            load_tables(tmp_path / "no-such-sources")
+
+    def _golds(self, toy_dir, tmp_path):
+        gold = tmp_path / "gold"
+        shutil.copytree(toy_dir / "gold", gold)
+        return gold
+
+    def test_gold_suffixes_match_regardless_of_case(self, toy_dir, toy_golds, tmp_path):
+        gold = self._golds(toy_dir, tmp_path)
+        (gold / "artists.json").rename(gold / "artists.JSON")
+        assert load_gold_models(gold) == toy_golds
+
+    def test_a_gold_file_in_two_cases_is_a_duplicate_source_id(self, toy_dir, tmp_path):
+        gold = self._golds(toy_dir, tmp_path)
+        shutil.copy(gold / "artists.json", gold / "artists.JSON")
+        with pytest.raises(ValueError, match="duplicate source id 'artists'"):
+            load_gold_models(gold)
+
+    def test_a_directory_named_like_a_gold_file_is_skipped(self, toy_dir, toy_golds, tmp_path):
+        gold = self._golds(toy_dir, tmp_path)
+        (gold / "x.json").mkdir()
+        assert load_gold_models(gold) == toy_golds
+
 
 class TestSetupReadsOnlyTheSplit:
     """With shot one the toy split has three test sources, one known and
@@ -701,3 +726,11 @@ def test_ill_typed_provider_settings_raise_type_error(cls, field, value):
 def test_chain_flags_must_be_bool(field):
     with pytest.raises(TypeError, match=field):
         ChainConfig(**{field: "false"})
+
+
+def test_an_empty_corruption_mapping_leaves_the_mock_replies_unchanged(toy_golds):
+    from semchain.harness import make_provider
+
+    plain = make_provider({"kind": "mock"}, toy_golds).script.responses
+    assert make_provider({"kind": "mock", "corruption": {}}, toy_golds).script.responses == plain
+    assert make_provider({"corruption": None}, toy_golds).script.responses == plain

@@ -116,8 +116,7 @@ def _cmd_ingest(args) -> int:
 
 
 def _cmd_serialize_ontology(args) -> int:
-    onto = onto_mod.parse_ontology(decode_text(args.ontology.read_bytes(), args.ontology.name))
-    _emit(onto_mod.serialize_ontology(onto), args.out)
+    _emit(onto_mod.serialize_ontology(harness.read_ontology_file(args.ontology)), args.out)
     return EXIT_OK
 
 
@@ -129,9 +128,7 @@ def _cmd_build_prompt(args) -> int:
 def _cmd_run(args) -> int:
     table = harness.read_table(args.source, record_cap=args.record_cap)
     system_prompt = decode_text(args.system_prompt.read_bytes(), args.system_prompt.name)
-    ontology = None
-    if args.ontology:
-        ontology = onto_mod.parse_ontology(decode_text(args.ontology.read_bytes(), args.ontology.name))
+    ontology = harness.read_ontology_file(args.ontology) if args.ontology else None
     gold = harness.read_model_file(args.mock_gold)
     provider = MockProvider(MockScript.from_gold({table.source_id: gold}))
     config = ChainConfig(
@@ -152,7 +149,12 @@ def _cmd_experiment(args) -> int:
     config = _load_config(args)
     seeds = [config.random_state]
     if args.seeds is not None:
-        seeds = [int(part) for part in args.seeds.split(",") if part.strip()]
+        seeds = []
+        for part in filter(str.strip, args.seeds.split(",")):
+            try:
+                seeds.append(int(part))
+            except ValueError:
+                raise ValueError(f"--seeds {args.seeds!r}: {part.strip()!r} is not an integer") from None
         if not seeds:
             raise ValueError(f"--seeds {args.seeds!r} names no random state")
         for i, seed in enumerate(seeds):

@@ -1,4 +1,5 @@
-"""Exception types shared across the package, and the decoders of outside text and JSON."""
+"""Exception types shared across the package, the decoders of outside text and
+JSON, and the check of a decoded triple array."""
 
 import json
 
@@ -44,6 +45,23 @@ def decode_json(text: str, what: str):
         raise FormatError(f"{what}: not JSON: {exc}") from None
     except RecursionError:
         raise FormatError(f"{what}: nested too deeply to parse") from None
+
+
+def string_triples(entries, field: str) -> list[tuple[str, str, str]]:
+    """The entries of a decoded JSON array of 3-element string arrays; any
+    other shape is a SchemaError naming `field`."""
+    if not isinstance(entries, list):
+        raise SchemaError(f"{field!r} must be an array")
+    triples = []
+    for entry in entries:
+        if (
+            not isinstance(entry, list)
+            or len(entry) != 3
+            or not all(isinstance(part, str) for part in entry)
+        ):
+            raise SchemaError(f"{field!r} entry {entry!r} is not a 3-element string array")
+        triples.append((entry[0], entry[1], entry[2]))
+    return triples
 
 
 # --- ontology -------------------------------------------------------------

@@ -10,7 +10,7 @@ that semantic triples do not pin down, such as interchangeable link-only ones.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Mapping
+from typing import Iterable, Mapping, Sequence
 
 from . import semantic_model as sm
 
@@ -240,8 +240,7 @@ def build_report(rows: Iterable[ScoreRow], mode: str = "macro") -> EvalReport:
         if not step_rows:
             continue
         if mode == "macro":
-            precision = sum(r.precision for r in step_rows) / len(step_rows)
-            recall = sum(r.recall for r in step_rows) / len(step_rows)
+            precision, recall = _mean_scores(step_rows)
         else:
             inter = sum(r.intersection for r in step_rows)
             pred = sum(r.predicted_size for r in step_rows)
@@ -257,13 +256,11 @@ def bucket_by_depth(rows: Iterable[ScoreRow]) -> dict[int, tuple[float, float]]:
     grouped: dict[int, list[ScoreRow]] = {}
     for row in rows:
         grouped.setdefault(row.depth, []).append(row)
-    return {
-        d: (
-            sum(r.precision for r in bucket) / len(bucket),
-            sum(r.recall for r in bucket) / len(bucket),
-        )
-        for d, bucket in sorted(grouped.items())
-    }
+    return {d: _mean_scores(bucket) for d, bucket in sorted(grouped.items())}
+
+
+def _mean_scores(rows: Sequence[ScoreRow]) -> tuple[float, float]:
+    return sum(r.precision for r in rows) / len(rows), sum(r.recall for r in rows) / len(rows)
 
 
 # --- matching internals --------------------------------------------------------

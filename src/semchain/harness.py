@@ -34,7 +34,7 @@ PRNG_DESCRIPTION = (
 )
 
 SHOT_SETTINGS = ("one", "quarter", "half")
-SOURCE_SUFFIXES = (".csv", ".xml", ".json")
+SOURCE_SUFFIXES = tuple(f".{fmt.value}" for fmt in SourceFormat)
 GOLD_SUFFIXES = (".json",)
 # Every file write_source_artifacts writes; a rerun deletes no other file.
 _SOURCE_FILES = (
@@ -244,6 +244,12 @@ def read_model_file(path: str | Path, *, labels_ok: bool = False) -> sm.Semantic
         raise type(exc)(f"{path.name}: {exc}") from None
 
 
+def read_ontology_file(path: str | Path) -> onto_mod.Ontology:
+    """Read one ontology file; a file that is not UTF-8 is named in its error."""
+    path = Path(path)
+    return onto_mod.parse_ontology(decode_text(path.read_bytes(), path.name))
+
+
 def load_gold_models(gold_dir: str | Path) -> dict[str, sm.SemanticModel]:
     return {sid: read_model_file(path) for sid, path in _listed_files(gold_dir, GOLD_SUFFIXES, "gold models").items()}
 
@@ -264,10 +270,6 @@ def make_provider(spec: Mapping, golds: Mapping[str, sm.SemanticModel]) -> Provi
         params = {k: v for k, v in spec.items() if k != "kind"}
         return HttpProvider(_from_mapping(ProviderConfig, params, "provider"))
     raise ValueError(f"unknown provider kind {kind!r}")
-
-
-def provider_label(spec: Mapping) -> str:
-    return spec.get("model_name", spec.get("kind", "mock"))
 
 
 # --- experiment runner -----------------------------------------------------------
@@ -303,7 +305,7 @@ def prepare_experiment(config: ExperimentConfig) -> Experiment:
     missing = sorted(set(source_paths) - set(gold_paths))
     if missing:
         raise ValueError(f"sources without gold models: {missing}")
-    ontology = onto_mod.parse_ontology(decode_text(config.ontology_path.read_bytes(), config.ontology_path.name))
+    ontology = read_ontology_file(config.ontology_path)
     templates = prompting.PromptTemplate.load(config.templates_dir)
     rules = prompting.load_rules(config.rules_dir)
     source_ids = tuple(sorted(source_paths))
@@ -501,8 +503,8 @@ def _write_run_meta(out: Path, config: ExperimentConfig, experiment: Experiment,
         "depth_definition": "longest directed path, in edges, ending at an attribute",
         "instance_matching": "exact triple match under the best per-class instance-index bijection",
         "template_sha256": {
-            part: hashlib.sha256(getattr(experiment.templates, part).encode("utf-8")).hexdigest()
-            for part in ("system", "example", "chain1", "chain2", "combined")
+            part: hashlib.sha256(text.encode("utf-8")).hexdigest()
+            for part, text in dataclasses.asdict(experiment.templates).items()
         },
         "rules_sha256": [hashlib.sha256(r.encode("utf-8")).hexdigest() for r in experiment.rules],
     }
@@ -571,7 +573,7 @@ def _dataset_label(sources_dir: Path) -> str:
 def _write_aggregate(report: ev.EvalReport, config: ExperimentConfig, path: Path) -> None:
     doc = {
         "dataset": _dataset_label(config.sources_dir),
-        "model": provider_label(config.provider),
+        "model": config.provider.get("model_name", config.provider.get("kind", "mock")),
         "shot": str(config.shot),
         "random_state": config.random_state,
         "mode": report.mode,

@@ -240,11 +240,9 @@ class HttpProvider:
                 return self._parse_response(response, system, turns)
             except requests.Timeout as exc:
                 error = ProviderTimeoutError(f"no reply within {self.config.timeout}s after retries: {exc}")
-            except requests.ConnectionError as exc:
-                error = ProviderError(f"transient connection failures exhausted retries: {exc}")
             except requests.RequestException as exc:
-                # Anything else on the wire or in the body read: chunked
-                # encoding, content decoding, redirects.
+                # Anything else on the wire or in the body read: connection,
+                # chunked encoding, content decoding, redirects.
                 error = ProviderError(
                     f"transient transport failures exhausted retries: {type(exc).__name__}: {exc}"
                 )

@@ -6,7 +6,7 @@ import json
 from dataclasses import dataclass
 from typing import Mapping
 
-from .errors import DanglingNameError, InheritanceCycleError, SchemaError, decode_json
+from .errors import DanglingNameError, InheritanceCycleError, SchemaError, decode_json, string_triples
 
 NODES_KEY = "Nodes"
 PROPERTIES_KEY = "Properties"
@@ -79,19 +79,8 @@ def parse_ontology(text: str) -> Ontology:
             raise SchemaError(f"ontology JSON misses the field {key!r}")
     class_parent = _parse_chain_entries(doc[NODES_KEY], "class")
     property_parent = _parse_chain_entries(doc[PROPERTIES_KEY], "property")
-    triples = set()
-    entries = doc[POTENTIAL_TRIPLES_KEY]
-    if not isinstance(entries, list):
-        raise SchemaError(f"{POTENTIAL_TRIPLES_KEY!r} must be an array")
-    for entry in entries:
-        if (
-            not isinstance(entry, list)
-            or len(entry) != 3
-            or not all(isinstance(part, str) and part for part in entry)
-        ):
-            raise SchemaError(f"potential triple {entry!r} is not a 3-element string array")
-        triples.add(PotentialTriple(*entry))
-    return Ontology(class_parent, property_parent, frozenset(triples))
+    triples = string_triples(doc[POTENTIAL_TRIPLES_KEY], POTENTIAL_TRIPLES_KEY)
+    return Ontology(class_parent, property_parent, frozenset(PotentialTriple(*t) for t in triples))
 
 
 def serialize_ontology(onto: Ontology) -> str:

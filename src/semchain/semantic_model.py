@@ -6,7 +6,7 @@ import json
 from dataclasses import dataclass
 from typing import Iterable
 
-from .errors import CyclicModelError, InstanceParseError, SchemaError, decode_json
+from .errors import CyclicModelError, InstanceParseError, SchemaError, decode_json, string_triples
 from .ingest import Table
 
 SEMANTIC_TRIPLES_KEY = "semantic_triples"
@@ -141,13 +141,13 @@ def read_model(doc, *, links: bool = True) -> SemanticModel:
             raise SchemaError(f"{'model' if links else 'labels'} JSON misses the field {key!r}")
     sems = frozenset(
         SemanticTriple(ClassInstance.parse(s), p, a)
-        for s, p, a in _string_triples(doc[SEMANTIC_TRIPLES_KEY], SEMANTIC_TRIPLES_KEY)
+        for s, p, a in string_triples(doc[SEMANTIC_TRIPLES_KEY], SEMANTIC_TRIPLES_KEY)
     )
     if not links:
         return SemanticModel(sems, frozenset())
     link_triples = frozenset(
         InternalLinkTriple(ClassInstance.parse(s), p, ClassInstance.parse(o))
-        for s, p, o in _string_triples(doc[INTERNAL_LINK_TRIPLES_KEY], INTERNAL_LINK_TRIPLES_KEY)
+        for s, p, o in string_triples(doc[INTERNAL_LINK_TRIPLES_KEY], INTERNAL_LINK_TRIPLES_KEY)
     )
     return SemanticModel(sems, link_triples)
 
@@ -288,20 +288,3 @@ def _lint_birth_death_numbering(model: SemanticModel) -> LintDiagnostic | None:
         message="; ".join(problems),
         offender=str(offenders[0].as_list()) if offenders else "",
     )
-
-
-# --- internals ---------------------------------------------------------------
-
-def _string_triples(entries, field: str) -> list[tuple[str, str, str]]:
-    if not isinstance(entries, list):
-        raise SchemaError(f"{field!r} must be an array")
-    triples = []
-    for entry in entries:
-        if (
-            not isinstance(entry, list)
-            or len(entry) != 3
-            or not all(isinstance(part, str) for part in entry)
-        ):
-            raise SchemaError(f"{field!r} entry {entry!r} is not a 3-element string array")
-        triples.append((entry[0], entry[1], entry[2]))
-    return triples

@@ -476,12 +476,18 @@ def _one_input_file(kind: str, toy_dir: Path, tmp_path: Path):
     if kind == "source":
         path = Path(shutil.copy(toy_dir / "sources" / "artists.csv", tmp_path))
         return ["ingest", str(path)], path, "artists"
-    if kind == "system-prompt":
-        path = tmp_path / "prompt.txt"
-        path.write_text("Model the table.\n", encoding="utf-8")
-        argv = ["run", "--system-prompt", str(path), "--source", str(toy_dir / "sources" / "artists.csv"),
+    if kind == "serialize-ontology":
+        path = Path(shutil.copy(toy_dir / "ontology.json", tmp_path))
+        return ["serialize-ontology", str(path)], path, "ontology.json"
+    if kind in ("system-prompt", "run-ontology"):
+        prompt = tmp_path / "prompt.txt"
+        prompt.write_text("Model the table.\n", encoding="utf-8")
+        argv = ["run", "--system-prompt", str(prompt), "--source", str(toy_dir / "sources" / "artists.csv"),
                 "--mock-gold", str(gold), "--out", str(tmp_path / "single")]
-        return argv, path, "prompt.txt"
+        if kind == "system-prompt":
+            return argv, prompt, "prompt.txt"
+        path = Path(shutil.copy(toy_dir / "ontology.json", tmp_path))
+        return [*argv, "--ontology", str(path), "--strict"], path, "ontology.json"
     # The experiment set-up reads the rest, from copies the config names.
     shutil.copytree(toy_dir / "gold", tmp_path / "gold")
     shutil.copy(toy_dir / "ontology.json", tmp_path)
@@ -499,7 +505,10 @@ def _one_input_file(kind: str, toy_dir: Path, tmp_path: Path):
     return ["experiment", "--config", str(config)], path, name
 
 
-INPUT_FILE_KINDS = ["config", "ontology", "gold", "model", "template", "rules", "system-prompt", "source"]
+INPUT_FILE_KINDS = [
+    "config", "ontology", "gold", "model", "template", "rules", "system-prompt", "source",
+    "serialize-ontology", "run-ontology",
+]
 
 
 @pytest.mark.parametrize("kind", INPUT_FILE_KINDS)
@@ -613,6 +622,14 @@ def test_seeds_that_name_no_random_state_exit_one(seeds, toy_dir, tmp_path, capo
     assert main(["experiment", "--config", str(config), "--seeds", seeds]) == 1
     err = capout().err
     assert err.startswith("error: --seeds") and err.count("\n") == 1
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("seeds, part", [("2023,x", "x"), ("2023, 2023.5", "2023.5")], ids=["word", "fraction"])
+def test_a_seed_that_is_no_integer_is_named_in_its_error(seeds, part, toy_dir, tmp_path, capout):
+    config = _write_config(toy_dir, tmp_path)
+    assert main(["experiment", "--config", str(config), "--seeds", seeds]) == 1
+    assert capout().err == f"error: --seeds {seeds!r}: {part!r} is not an integer\n"
     assert not (tmp_path / "out").exists()
 
 

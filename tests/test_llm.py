@@ -382,15 +382,15 @@ class TestHttpProvider:
     def test_transport_errors_retry_then_exhaust_into_provider_error(self):
         import requests
 
-        provider = _provider([requests.exceptions.ChunkedEncodingError("cut"), _ok_response()])
-        assert provider.complete("s", []).text == "hello"
+        for failure in (requests.exceptions.ChunkedEncodingError, requests.ConnectionError):
+            provider = _provider([failure("cut"), _ok_response()])
+            assert provider.complete("s", []).text == "hello"
 
-        responses = [requests.exceptions.ChunkedEncodingError("cut")] * 3
-        provider = _provider(responses)
-        with pytest.raises(ProviderError, match="transport") as caught:
-            provider.complete("s", [])
-        assert type(caught.value) is ProviderError
-        assert provider._session.posts == 3
+            provider = _provider([failure("cut")] * 3)
+            with pytest.raises(ProviderError, match=f"transport failures .*{failure.__name__}") as caught:
+                provider.complete("s", [])
+            assert type(caught.value) is ProviderError
+            assert provider._session.posts == 3
 
     def test_transport_error_while_reading_the_body_is_retried(self):
         import requests

@@ -249,6 +249,11 @@ def test_parse_errors():
                 {"Nodes": ["A"], "Properties": [], "Potential triples": [["A", "ghost", "A"]]}
             )
         )
+    with pytest.raises(SchemaError, match="'Potential triples'"):
+        parse_ontology(json.dumps({"Nodes": ["A"], "Properties": ["p"], "Potential triples": [["A", "p"]]}))
+    # An empty name can never be declared, so it is an undeclared one.
+    with pytest.raises(DanglingNameError):
+        parse_ontology(json.dumps({"Nodes": ["A"], "Properties": ["p"], "Potential triples": [["A", "", "A"]]}))
     with pytest.raises(DanglingNameError):
         onto = parse_ontology(EVENT_TOY)
         is_subclass_of(onto, "Event", "Ghost")

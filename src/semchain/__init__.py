@@ -63,10 +63,7 @@ from .llm import (
 from .ontology import (
     Ontology,
     PotentialTriple,
-    is_subclass_of,
-    is_subproperty_of,
     parse_ontology,
-    refinements,
     serialize_ontology,
     triple_is_legal,
 )

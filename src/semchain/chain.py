@@ -9,14 +9,7 @@ from typing import Iterable, Mapping
 from . import ontology as onto_mod
 from . import prompting
 from . import semantic_model as sm
-from .errors import (
-    DanglingNameError,
-    NoAnswerError,
-    SchemaError,
-    SemchainError,
-    Step1ParseError,
-    require_types,
-)
+from .errors import NoAnswerError, SchemaError, SemchainError, Step1ParseError, require_types
 from .ingest import DEFAULT_RECORD_CAP, Table, serialize_table
 from .llm import (
     STAGE_CHAIN1,
@@ -153,17 +146,9 @@ def _parse_step2(step2: object, labels: sm.SemanticModel, notes: list[str]) -> s
 
 
 def _drop_illegal_links(model: sm.SemanticModel, ontology: onto_mod.Ontology):
-    kept = []
-    dropped = 0
-    for link in model.internal_link_triples:
-        try:
-            legal = onto_mod.triple_is_legal(
-                ontology, link.subject.class_name, link.property, link.object.class_name
-            )
-        except DanglingNameError:
-            legal = False
-        if legal:
-            kept.append(link)
-        else:
-            dropped += 1
-    return sm.SemanticModel(model.semantic_triples, frozenset(kept)), dropped
+    kept = frozenset(
+        link
+        for link in model.internal_link_triples
+        if onto_mod.triple_is_legal(ontology, link.subject.class_name, link.property, link.object.class_name)
+    )
+    return sm.SemanticModel(model.semantic_triples, kept), len(model.internal_link_triples) - len(kept)

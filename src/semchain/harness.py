@@ -184,11 +184,11 @@ def _lcg_shuffle(items: Sequence[str], seed: int) -> list[str]:
 
 # --- dataset loading -----------------------------------------------------------
 
-def read_table(path: str | Path, source_id: str | None = None, record_cap: int | None = None) -> Table:
-    """Parse one source file, keeping its first `record_cap` records (all when None)."""
+def read_table(path: str | Path, record_cap: int | None = None) -> Table:
+    """Parse one source file, its stem the source id, keeping its first
+    `record_cap` records (all when None)."""
     path = Path(path)
-    fmt = SourceFormat.from_suffix(path.suffix)
-    return parse_source(path.read_bytes(), fmt, source_id or path.stem, record_cap)
+    return parse_source(path.read_bytes(), SourceFormat.from_suffix(path.suffix), path.stem, record_cap)
 
 
 def load_tables(
@@ -245,9 +245,12 @@ def read_model_file(path: str | Path, *, labels_ok: bool = False) -> sm.Semantic
 
 
 def read_ontology_file(path: str | Path) -> onto_mod.Ontology:
-    """Read one ontology file; a file that is not UTF-8 is named in its error."""
+    """Read one ontology file; its errors name the file."""
     path = Path(path)
-    return onto_mod.parse_ontology(decode_text(path.read_bytes(), path.name))
+    try:
+        return onto_mod.parse_ontology(decode_text(path.read_bytes(), "ontology"))
+    except SemchainError as exc:
+        raise type(exc)(f"{path.name}: {exc}") from None
 
 
 def load_gold_models(gold_dir: str | Path) -> dict[str, sm.SemanticModel]:
@@ -521,12 +524,18 @@ def write_source_artifacts(directory: Path, sid: str, result: ChainResult | str)
     except FileExistsError:
         for name in _SOURCE_FILES:
             (directory / name).unlink(missing_ok=True)
+
+    def write(name: str, text: str) -> None:
+        # A reply may hold a lone surrogate, which UTF-8 cannot encode. It is
+        # written as its own escape, which a JSON string reads back as it was.
+        (directory / name).write_text(text + "\n", encoding="utf-8", errors="backslashreplace")
+
     if isinstance(result, str):
-        (directory / "error.txt").write_text(result + "\n", encoding="utf-8")
+        write("error.txt", result)
         return
-    (directory / "labels.json").write_text(sm.serialize_labels(result.labels) + "\n", encoding="utf-8")
-    (directory / "raw_model.json").write_text(sm.serialize_model(result.raw_model) + "\n", encoding="utf-8")
-    (directory / "final_model.json").write_text(sm.serialize_model(result.final_model) + "\n", encoding="utf-8")
+    write("labels.json", sm.serialize_labels(result.labels))
+    write("raw_model.json", sm.serialize_model(result.raw_model))
+    write("final_model.json", sm.serialize_model(result.final_model))
     lines = []
     for stage, exchange in result.transcripts.items():
         lines.append(
@@ -545,9 +554,9 @@ def write_source_artifacts(directory: Path, sid: str, result: ChainResult | str)
                 ensure_ascii=False,
             )
         )
-    (directory / "transcript.jsonl").write_text("\n".join(lines) + "\n", encoding="utf-8")
+    write("transcript.jsonl", "\n".join(lines))
     if result.notes:
-        (directory / "notes.txt").write_text("\n".join(result.notes) + "\n", encoding="utf-8")
+        write("notes.txt", "\n".join(result.notes))
 
 
 def _write_report_csv(report: ev.EvalReport, path: Path) -> None:

@@ -56,18 +56,6 @@ class Ontology:
                 if name not in lineages[kind]:
                     raise DanglingNameError(f"potential triple references undeclared {kind} {name!r}")
 
-    @property
-    def classes(self) -> frozenset[str]:
-        return frozenset(self.class_parent)
-
-    @property
-    def properties(self) -> frozenset[str]:
-        return frozenset(self.property_parent)
-
-    def class_ancestors(self, name: str) -> tuple[str, ...]:
-        """Ancestor chain of a class, nearest parent first."""
-        return _lineage(self, "class", name)[1:]
-
 
 def parse_ontology(text: str) -> Ontology:
     """Read the three-field ontology JSON with "->" inheritance chains."""
@@ -93,26 +81,12 @@ def serialize_ontology(onto: Ontology) -> str:
     return json.dumps(doc, indent=2, ensure_ascii=False)
 
 
-def is_subclass_of(onto: Ontology, a: str, b: str) -> bool:
-    """True iff b is a (or an ancestor of a); reflexive and transitive."""
-    return _in_lineage(onto, "class", a, b)
-
-
-def is_subproperty_of(onto: Ontology, a: str, b: str) -> bool:
-    return _in_lineage(onto, "property", a, b)
-
-
-def refinements(onto: Ontology, t: PotentialTriple) -> frozenset[PotentialTriple]:
-    """All triples obtained by narrowing t's subject/object to subclasses, t included."""
-    _lineage(onto, "property", t.property)
-    subjects, objects = (_subclasses(onto, name) for name in (t.subject, t.object))
-    return frozenset(PotentialTriple(s, t.property, o) for s in subjects for o in objects)
-
-
 def triple_is_legal(onto: Ontology, subject: str, property: str, object: str) -> bool:
-    """True iff some declared potential triple generalizes (subject, property, object)."""
-    subjects, objects = (_lineage(onto, "class", name) for name in (subject, object))
-    properties = _lineage(onto, "property", property)
+    """True iff some declared potential triple generalizes (subject, property,
+    object); a name the ontology does not declare makes the triple illegal."""
+    classes = onto._lineages["class"]
+    subjects, objects = classes.get(subject, ()), classes.get(object, ())
+    properties = onto._lineages["property"].get(property, ())
     return any(
         t.subject in subjects and t.object in objects and t.property in properties
         for t in onto.potential_triples
@@ -169,26 +143,6 @@ def _build_lineages(parents: Mapping[str, str | None], kind: str) -> dict[str, t
             lineage = (name, *lineage)
             lineages[name] = lineage
     return lineages
-
-
-def _lineage(onto: Ontology, kind: str, name: str) -> tuple[str, ...]:
-    try:
-        return onto._lineages[kind][name]
-    except KeyError:
-        raise DanglingNameError(f"{kind} {name!r} is not declared in the ontology") from None
-
-
-def _in_lineage(onto: Ontology, kind: str, a: str, b: str) -> bool:
-    lineage = _lineage(onto, kind, a)
-    _lineage(onto, kind, b)
-    return b in lineage
-
-
-def _subclasses(onto: Ontology, name: str) -> list[str]:
-    """The class and its subclasses, sorted."""
-    _lineage(onto, "class", name)
-    lineages = onto._lineages["class"]
-    return [c for c in sorted(lineages) if name in lineages[c]]
 
 
 def _chain_strings(lineages: Mapping[str, tuple[str, ...]]) -> list[str]:

@@ -8,6 +8,7 @@ share code paths with the package.
 from __future__ import annotations
 
 import random
+import re
 from collections import defaultdict
 
 from semchain import ClassInstance, InternalLinkTriple, SemanticModel, SemanticTriple
@@ -275,6 +276,60 @@ def transitive_ancestors_bruteforce(parent: dict[str, str | None], name: str) ->
         out.add(current)
         current = parent[current]
     return out
+
+
+def legal_triples_by_enumeration(
+    class_parent: dict[str, str | None],
+    property_parent: dict[str, str | None],
+    declared: list[tuple[str, str, str]],
+) -> set[tuple[str, str, str]]:
+    """Every (subject, property, object) that narrows a declared potential
+    triple: each part replaced by itself or by any name below it, found by
+    walking every name's parent chain up."""
+
+    def narrowings(parent, name):
+        return {n for n in parent if n == name or name in transitive_ancestors_bruteforce(parent, n)}
+
+    return {
+        (s, p, o)
+        for subject, prop, obj in declared
+        for s in narrowings(class_parent, subject)
+        for p in narrowings(property_parent, prop)
+        for o in narrowings(class_parent, obj)
+    }
+
+
+_REPLY_TOKENS = ("{", "}", "[", "]", ",", ":", '"', "null", "1e999", "\\")
+_REPLY_TOKENS += ("<Step1>", "</Step1>", "<Step2>", "</Step2>", "```")
+_LEAVES = ('""', '"x"', '"A1"', "7", "[]", "{}", "null", '"crm:E1_X-99999999999999999999999"')
+_JSON_STRING = re.compile(r'"(?:[^"\\]|\\.)*"')
+
+
+def mutated_reply(reply: str, rng: random.Random) -> str:
+    """The reply after one to three random edits: a span deleted, a JSON token
+    or answer tag inserted, a JSON string leaf replaced, or a lone surrogate
+    added, raw or as a JSON escape inside a string."""
+
+    def surrogate() -> int:
+        return rng.randint(0xD800, 0xDFFF)
+
+    for _ in range(rng.randint(1, 3)):
+        edit, at = rng.randrange(5), rng.randint(0, len(reply))
+        leaves = list(_JSON_STRING.finditer(reply)) if edit >= 3 else []
+        if edit == 0:
+            reply = reply[:at] + reply[at + rng.randint(1, 40):]
+        elif edit == 1:
+            reply = reply[:at] + rng.choice(_REPLY_TOKENS) + reply[at:]
+        elif edit == 2:
+            reply = reply[:at] + chr(surrogate()) + reply[at:]
+        elif edit == 3 and leaves:
+            leaf = rng.choice(leaves)
+            reply = reply[: leaf.start()] + rng.choice(_LEAVES) + reply[leaf.end():]
+        elif leaves:
+            leaf = rng.choice(leaves)
+            at = rng.randint(leaf.start() + 1, leaf.end() - 1)
+            reply = reply[:at] + f"\\u{surrogate():04x}" + reply[at:]
+    return reply
 
 
 # Sources nested past the interpreter's recursion limit, keyed by file name.

@@ -392,7 +392,7 @@ def test_bad_json_input_prints_one_error_and_exits_one(command, text, toy_dir, t
     gold = str(toy_dir / "gold" / "artists.json")
     argv, what = {
         "eval": (["eval", "--gold", str(bad), "--pred", gold], "bad.json: model"),
-        "serialize-ontology": (["serialize-ontology", str(bad)], "ontology"),
+        "serialize-ontology": (["serialize-ontology", str(bad)], "bad.json: ontology"),
         "build-prompt": (["build-prompt", "--config", str(bad)], "config"),
     }[command]
     assert main(argv) == 1
@@ -478,7 +478,7 @@ def _one_input_file(kind: str, toy_dir: Path, tmp_path: Path):
         return ["ingest", str(path)], path, "artists"
     if kind == "serialize-ontology":
         path = Path(shutil.copy(toy_dir / "ontology.json", tmp_path))
-        return ["serialize-ontology", str(path)], path, "ontology.json"
+        return ["serialize-ontology", str(path)], path, "ontology.json: ontology"
     if kind in ("system-prompt", "run-ontology"):
         prompt = tmp_path / "prompt.txt"
         prompt.write_text("Model the table.\n", encoding="utf-8")
@@ -487,7 +487,7 @@ def _one_input_file(kind: str, toy_dir: Path, tmp_path: Path):
         if kind == "system-prompt":
             return argv, prompt, "prompt.txt"
         path = Path(shutil.copy(toy_dir / "ontology.json", tmp_path))
-        return [*argv, "--ontology", str(path), "--strict"], path, "ontology.json"
+        return [*argv, "--ontology", str(path), "--strict"], path, "ontology.json: ontology"
     # The experiment set-up reads the rest, from copies the config names.
     shutil.copytree(toy_dir / "gold", tmp_path / "gold")
     shutil.copy(toy_dir / "ontology.json", tmp_path)
@@ -497,7 +497,7 @@ def _one_input_file(kind: str, toy_dir: Path, tmp_path: Path):
     )
     path, name = {
         "config": (config, "config.json"),
-        "ontology": (tmp_path / "ontology.json", "ontology.json"),
+        "ontology": (tmp_path / "ontology.json", "ontology.json: ontology"),
         "gold": (tmp_path / "gold" / "artists.json", "artists.json: model"),
         "template": (tmp_path / "tpl" / "system.txt", "template 'system.txt'"),
         "rules": (tmp_path / "tpl" / "rules_step1.txt", "template 'rules_step1.txt'"),
@@ -520,6 +520,15 @@ def test_an_input_file_that_is_not_utf8_is_named_in_its_error(kind, toy_dir, tmp
     err = capout().err
     assert err.startswith(f"error: {name}: not UTF-8: ")
     assert err.count("\n") == 1
+
+
+@pytest.mark.parametrize("kind", ["serialize-ontology", "run-ontology", "ontology"])
+def test_an_ontology_file_of_the_wrong_shape_is_named_in_its_error(kind, toy_dir, tmp_path, capout):
+    argv, path, _ = _one_input_file(kind, toy_dir, tmp_path)
+    path.write_text("[]", encoding="utf-8")
+    assert main(argv) == 1
+    err = capout().err
+    assert err == "error: ontology.json: ontology JSON must be an object\n"
 
 
 @pytest.mark.parametrize("kind", INPUT_FILE_KINDS)
@@ -547,6 +556,24 @@ def test_a_shot_that_is_no_setting_or_count_exits_one(shot, toy_dir, tmp_path, c
     err = capout().err
     assert err.startswith("error: shot must be one of ")
     assert err.count("\n") == 1
+
+
+def test_a_reply_holding_a_lone_surrogate_is_written_and_the_run_completes(toy_dir, tmp_path, capout):
+    # The mock replays gold, so a test source's gold file whose JSON escapes a
+    # lone surrogate puts one in that source's replies.
+    gold = tmp_path / "gold"
+    shutil.copytree(toy_dir / "gold", gold)
+    path = gold / "artists.json"
+    text = path.read_text(encoding="utf-8").replace("P131_is_identified_by", "P131\\ud800")
+    path.write_text(text, encoding="utf-8")
+    assert "artists" in split_dataset(sorted(p.stem for p in gold.iterdir()), 2023, 0.5, "half").test
+    config = _write_config(toy_dir, tmp_path, gold_dir=str(gold))
+    assert main(["experiment", "--config", str(config)]) == 0
+    assert "modeling: precision 1.000 recall 1.000" in capout().out
+    out = tmp_path / "out"
+    assert all((out / name).is_file() for name in ("report.csv", "aggregate.json", "depth_buckets.csv"))
+    labels = json.loads((out / "sources" / "artists" / "labels.json").read_text(encoding="utf-8"))
+    assert ["crm:E21_Person1", "crm:P131\ud800", "name"] in labels["semantic_triples"]
 
 
 def test_a_gold_file_with_an_upper_case_suffix_is_found(toy_dir, tmp_path, capout):

@@ -4,6 +4,8 @@ import csv
 import dataclasses
 import hashlib
 import json
+import random
+import re
 import shutil
 from pathlib import Path
 
@@ -22,13 +24,17 @@ from semchain import (
     load_tables,
     run_ablation,
     run_experiment,
+    serialize_labels,
+    serialize_model,
     shot_count,
     split_dataset,
 )
+from semchain import harness
 from semchain.errors import FormatError, ProviderError, ShotTooLargeError
 from semchain.evaluation import LABELING, MODELING
+from semchain.llm import STAGE_CHAIN1, STAGE_CHAIN2, STAGE_COMBINED
 
-from helpers import DEEPLY_NESTED
+from helpers import DEEPLY_NESTED, mutated_reply
 
 IDS_28 = [f"s{i:02d}" for i in range(28)]
 TOY_CORRUPTION = {"drop_triples": 1, "inject_instances": 2, "rename_properties": 1, "seed": 7}
@@ -169,7 +175,7 @@ class TestExperiment:
         assert kept and max(kept) <= record_cap
 
         read_table = harness.read_table
-        monkeypatch.setattr(harness, "read_table", lambda path, source_id=None, record_cap=None: read_table(path))
+        monkeypatch.setattr(harness, "read_table", lambda path, record_cap=None: read_table(path))
         full = toy_config(out_dir=tmp_path / "full", record_cap=record_cap)
         run_experiment(full)
         assert max(kept) == 4  # the uncapped load kept whole 4-record sources
@@ -734,3 +740,51 @@ def test_an_empty_corruption_mapping_leaves_the_mock_replies_unchanged(toy_golds
     plain = make_provider({"kind": "mock"}, toy_golds).script.responses
     assert make_provider({"kind": "mock", "corruption": {}}, toy_golds).script.responses == plain
     assert make_provider({"corruption": None}, toy_golds).script.responses == plain
+
+
+def _surrogates_joined(text: str) -> str:
+    """`text` with each high surrogate that directly precedes a low one joined
+    into the character the pair encodes, as JSON reads their two escapes."""
+    return text.encode("utf-16-le", "surrogatepass").decode("utf-16-le", "surrogatepass")
+
+
+def test_damaged_replies_fail_only_their_source_and_their_artifacts_read_back(toy_config, tmp_path):
+    # A seeded fuzz of about 2,000 damaged mock replies, lone surrogates among
+    # them. `_run_one_source` turns a SemchainError into the source's error
+    # text, so any other exception fails the test.
+    config = toy_config()
+    experiment = harness.prepare_experiment(config)
+    script = MockScript.from_gold(experiment.golds)
+    rng = random.Random(6)
+    surrogates_written = 0
+    for _ in range(1200):
+        sid = rng.choice(sorted(experiment.tables))
+        chain = ChainConfig(chaining_enabled=rng.random() < 0.6, strict_ontology_validation=rng.random() < 0.3)
+        responses = dict(script.responses)
+        for stage in (STAGE_CHAIN1, STAGE_CHAIN2) if chain.chaining_enabled else (STAGE_COMBINED,):
+            responses[(sid, stage)] = mutated_reply(responses[(sid, stage)], rng)
+        provider = MockProvider(MockScript(responses))
+        scored = harness._run_one_source(
+            sid, experiment, dataclasses.replace(config, chain=chain), provider, [False, True]
+        )
+        for _, outcome in scored:
+            directory = tmp_path / sid
+            harness.write_source_artifacts(directory, sid, outcome)
+            if isinstance(outcome, str):
+                assert (directory / "error.txt").read_text(encoding="utf-8") == outcome + "\n"
+                continue
+            for name, text in [
+                ("labels.json", serialize_labels(outcome.labels)),
+                ("raw_model.json", serialize_model(outcome.raw_model)),
+                ("final_model.json", serialize_model(outcome.final_model)),
+            ]:
+                surrogates_written += bool(re.search("[\ud800-\udfff]", text))
+                assert json.loads((directory / name).read_text(encoding="utf-8")) == json.loads(
+                    _surrogates_joined(text)
+                )
+            lines = (directory / "transcript.jsonl").read_text(encoding="utf-8").splitlines()
+            assert len(lines) == len(outcome.transcripts)
+            for line, exchange in zip(lines, outcome.transcripts.values()):
+                contents = [turn["content"] for turn in json.loads(line)["turns"]]
+                assert contents == [_surrogates_joined(turn.content) for turn in exchange.turns]
+    assert surrogates_written

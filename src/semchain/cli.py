@@ -12,7 +12,7 @@ from . import harness
 from . import ontology as onto_mod
 from . import semantic_model as sm
 from .chain import ChainConfig, run_chain
-from .errors import SemchainError, decode_text
+from .errors import SemchainError, decode_text, encode_text
 from .ingest import DEFAULT_RECORD_CAP, SourceFormat, parse_source, serialize_table
 from .llm import MockProvider, MockScript
 
@@ -100,10 +100,11 @@ def main(argv=None) -> int:
 
 def _emit(text: str, out: Path | None) -> None:
     if out is None:
-        print(text)
+        sys.stdout.flush()
+        sys.stdout.buffer.write(encode_text(text + "\n"))
     else:
         out.parent.mkdir(parents=True, exist_ok=True)
-        out.write_text(text + ("" if text.endswith("\n") else "\n"), encoding="utf-8")
+        out.write_bytes(encode_text(text + ("" if text.endswith("\n") else "\n")))
 
 
 def _cmd_ingest(args) -> int:

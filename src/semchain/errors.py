@@ -1,5 +1,5 @@
 """Exception types shared across the package, the decoders of outside text and
-JSON, and the check of a decoded triple array."""
+JSON, the encoder of written text, and the check of a decoded triple array."""
 
 import json
 
@@ -35,6 +35,12 @@ def decode_text(raw: bytes, what: str) -> str:
         return raw.decode("utf-8-sig")
     except UnicodeDecodeError as exc:
         raise FormatError(f"{what}: not UTF-8: {exc}") from None
+
+
+def encode_text(text: str) -> bytes:
+    """UTF-8 for every text the program writes or hashes; a lone surrogate is
+    written as its own `\\uXXXX` escape, which a JSON string reads back as it was."""
+    return text.encode("utf-8", "backslashreplace")
 
 
 def decode_json(text: str, what: str):

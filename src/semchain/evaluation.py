@@ -10,7 +10,7 @@ that semantic triples do not pin down, such as interchangeable link-only ones.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Iterator, Mapping, Sequence
 
 from . import semantic_model as sm
 
@@ -58,7 +58,7 @@ def match_triples(
     Returns the intersection size and the instance mapping that achieved it
     (predicted instance -> gold instance, or None when left unmatched).
 
-    The answer is exact at every size, with no size threshold: a depth-first
+    The answer is exact at every size, with no size or stack limit: a depth-first
     branch and bound (Land & Doig 1960) over the predicted instances that can
     match anything, each taking a free gold index of its class or None. The
     bound credits each open instance with the best it can still add: its
@@ -156,7 +156,9 @@ def match_triples(
         if g is not None:
             used[i].discard(g)
 
-    def search(matched: int) -> None:
+    def search(matched: int) -> Iterator[int]:
+        # Yields the score of each child to search; the driver below keeps the
+        # open nodes on a stack, so the depth is not bounded by recursion.
         nonlocal best, best_value
         bound = 2 * matched  # doubled, like credits, so half links stay whole
         branch, options, rank = None, None, None
@@ -184,14 +186,20 @@ def match_triples(
             else:
                 own = instances[branch].index
                 for g in sorted(options, key=lambda g: (-options[g], g != own, g)) + [None]:
-                    search(matched + assign(branch, g))
+                    yield matched + assign(branch, g)
                     release(branch)
                     if bound <= 2 * best:
                         break
         for i in dead:
             del value[i]
 
-    search(0)
+    stack = [search(0)]
+    while stack:
+        matched = next(stack[-1], None)
+        if matched is None:
+            stack.pop()
+        else:
+            stack.append(search(matched))
     bijection: dict[sm.ClassInstance, sm.ClassInstance | None] = dict.fromkeys(predicted.instances())
     for i, g in best_value.items():
         if g is not None:

@@ -6,6 +6,7 @@ import concurrent.futures
 import csv
 import dataclasses
 import hashlib
+import io
 import json
 import math
 import os
@@ -13,14 +14,14 @@ import time
 from dataclasses import dataclass, field
 from operator import attrgetter
 from pathlib import Path
-from typing import Mapping, Sequence
+from typing import Iterable, Mapping, Sequence
 
 from . import evaluation as ev
 from . import ontology as onto_mod
 from . import prompting
 from . import semantic_model as sm
 from .chain import ChainConfig, ChainResult, run_chain
-from .errors import SemchainError, ShotTooLargeError, decode_json, decode_text, require_types
+from .errors import SemchainError, ShotTooLargeError, decode_json, decode_text, encode_text, require_types
 from .ingest import DEFAULT_RECORD_CAP, SourceFormat, Table, parse_source, serialize_table
 from .llm import CorruptionSpec, HttpProvider, MockProvider, MockScript, Provider, ProviderConfig
 
@@ -358,22 +359,20 @@ def run_ablation(config: ExperimentConfig, provider: Provider | None = None) -> 
         chain = dataclasses.replace(config.chain, chaining_enabled=chaining, pruning_enabled=pruning)
         configs.append(dataclasses.replace(config, chain=chain, out_dir=out / "ablation" / name))
     reports = [run_experiment(configs[0], provider), *_run_arms(configs[1:], provider)]
-    rows = []
+    rows, lines = [], []
+    for (name, _, _), report in zip(variants, reports):
+        precision, recall = report.aggregates.get(ev.MODELING, (0.0, 0.0))
+        lines.append([name, f"{precision:.6f}", f"{recall:.6f}"])
+        rows.append(
+            {
+                "configuration": name,
+                "precision": precision,
+                "recall": recall,
+                "has_failures": report.has_failures(),
+            }
+        )
     out.mkdir(parents=True, exist_ok=True)
-    with (out / "ablation.csv").open("w", newline="", encoding="utf-8") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(["configuration", "precision", "recall"])
-        for (name, _, _), report in zip(variants, reports):
-            precision, recall = report.aggregates.get(ev.MODELING, (0.0, 0.0))
-            writer.writerow([name, f"{precision:.6f}", f"{recall:.6f}"])
-            rows.append(
-                {
-                    "configuration": name,
-                    "precision": precision,
-                    "recall": recall,
-                    "has_failures": report.has_failures(),
-                }
-            )
+    _write_csv(out / "ablation.csv", ["configuration", "precision", "recall"], lines)
     return rows
 
 
@@ -395,11 +394,9 @@ def _run_arms(arms: Sequence[ExperimentConfig], provider: Provider | None) -> li
         for name in _SOURCE_FILES:
             for path in out.glob(f"sources/*/{name}"):
                 path.unlink()
-        (out / "split.json").write_text(
-            split.to_json(experiment.source_ids, arm.random_state, arm.test_size, arm.shot) + "\n",
-            encoding="utf-8",
-        )
-        (out / "system_prompt.txt").write_text(experiment.system_prompt, encoding="utf-8")
+        split_doc = split.to_json(experiment.source_ids, arm.random_state, arm.test_size, arm.shot)
+        _write(out / "split.json", split_doc + "\n")
+        _write(out / "system_prompt.txt", experiment.system_prompt)
         _write_run_meta(out, arm, experiment, replies_reused=index > 0)
 
     unpruned = dataclasses.replace(config, chain=dataclasses.replace(config.chain, pruning_enabled=False))
@@ -487,6 +484,18 @@ def _run_one_source(
 
 # --- persistence -----------------------------------------------------------------
 
+def _write(path: Path, text: str) -> None:
+    path.write_bytes(encode_text(text))
+
+
+def _write_csv(path: Path, header: Sequence[str], rows: Iterable[Sequence]) -> None:
+    buffer = io.StringIO()
+    writer = csv.writer(buffer)
+    writer.writerow(header)
+    writer.writerows(rows)
+    _write(path, buffer.getvalue())
+
+
 def _write_run_meta(out: Path, config: ExperimentConfig, experiment: Experiment, *, replies_reused: bool) -> None:
     from . import __version__
 
@@ -506,14 +515,14 @@ def _write_run_meta(out: Path, config: ExperimentConfig, experiment: Experiment,
         "depth_definition": "longest directed path, in edges, ending at an attribute",
         "instance_matching": "exact triple match under the best per-class instance-index bijection",
         "template_sha256": {
-            part: hashlib.sha256(text.encode("utf-8")).hexdigest()
+            part: hashlib.sha256(encode_text(text)).hexdigest()
             for part, text in dataclasses.asdict(experiment.templates).items()
         },
-        "rules_sha256": [hashlib.sha256(r.encode("utf-8")).hexdigest() for r in experiment.rules],
+        "rules_sha256": [hashlib.sha256(encode_text(r)).hexdigest() for r in experiment.rules],
     }
     if replies_reused:
         meta["replies"] = "reused from the chaining configuration, which sent the same requests"
-    (out / "run_meta.json").write_text(json.dumps(meta, indent=2) + "\n", encoding="utf-8")
+    _write(out / "run_meta.json", json.dumps(meta, indent=2) + "\n")
 
 
 def write_source_artifacts(directory: Path, sid: str, result: ChainResult | str) -> None:
@@ -524,18 +533,12 @@ def write_source_artifacts(directory: Path, sid: str, result: ChainResult | str)
     except FileExistsError:
         for name in _SOURCE_FILES:
             (directory / name).unlink(missing_ok=True)
-
-    def write(name: str, text: str) -> None:
-        # A reply may hold a lone surrogate, which UTF-8 cannot encode. It is
-        # written as its own escape, which a JSON string reads back as it was.
-        (directory / name).write_text(text + "\n", encoding="utf-8", errors="backslashreplace")
-
     if isinstance(result, str):
-        write("error.txt", result)
+        _write(directory / "error.txt", result + "\n")
         return
-    write("labels.json", sm.serialize_labels(result.labels))
-    write("raw_model.json", sm.serialize_model(result.raw_model))
-    write("final_model.json", sm.serialize_model(result.final_model))
+    _write(directory / "labels.json", sm.serialize_labels(result.labels) + "\n")
+    _write(directory / "raw_model.json", sm.serialize_model(result.raw_model) + "\n")
+    _write(directory / "final_model.json", sm.serialize_model(result.final_model) + "\n")
     lines = []
     for stage, exchange in result.transcripts.items():
         lines.append(
@@ -543,7 +546,7 @@ def write_source_artifacts(directory: Path, sid: str, result: ChainResult | str)
                 {
                     "source_id": sid,
                     "stage": stage,
-                    "system_sha256": hashlib.sha256(exchange.system.encode("utf-8")).hexdigest(),
+                    "system_sha256": hashlib.sha256(encode_text(exchange.system)).hexdigest(),
                     "turns": [{"role": t.role, "content": t.content} for t in exchange.turns],
                     "usage": {
                         "input_tokens": exchange.usage.input_tokens,
@@ -554,22 +557,16 @@ def write_source_artifacts(directory: Path, sid: str, result: ChainResult | str)
                 ensure_ascii=False,
             )
         )
-    write("transcript.jsonl", "\n".join(lines))
+    _write(directory / "transcript.jsonl", "\n".join(lines) + "\n")
     if result.notes:
-        write("notes.txt", "\n".join(result.notes))
+        _write(directory / "notes.txt", "\n".join(result.notes) + "\n")
 
 
 def _write_report_csv(report: ev.EvalReport, path: Path) -> None:
     fields = [f.name for f in dataclasses.fields(ev.ScoreRow)]
-    with path.open("w", newline="", encoding="utf-8") as handle:
-        writer = csv.DictWriter(handle, fieldnames=fields)
-        writer.writeheader()
-        for row in report.rows:
-            record = {name: getattr(row, name) for name in fields}
-            record["precision"] = f"{row.precision:.6f}"
-            record["recall"] = f"{row.recall:.6f}"
-            record["latency_ms"] = f"{row.latency_ms:.3f}"
-            writer.writerow(record)
+    specs = {"precision": ".6f", "recall": ".6f", "latency_ms": ".3f"}
+    rows = ([format(getattr(row, name), specs.get(name, "")) for name in fields] for row in report.rows)
+    _write_csv(path, fields, rows)
 
 
 def _dataset_label(sources_dir: Path) -> str:
@@ -592,22 +589,19 @@ def _write_aggregate(report: ev.EvalReport, config: ExperimentConfig, path: Path
         },
         "failed_sources": sorted({row.source_id for row in report.rows if row.error}),
     }
-    path.write_text(json.dumps(doc, indent=2) + "\n", encoding="utf-8")
+    _write(path, json.dumps(doc, indent=2) + "\n")
 
 
 def _write_depth_buckets(report: ev.EvalReport, path: Path) -> None:
-    with path.open("w", newline="", encoding="utf-8") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(["step", "depth", "sources", "mean_precision", "mean_recall"])
-        for step in ev.STEPS:
-            step_rows = [r for r in report.rows if r.step == step]
-            if not step_rows:
-                continue
-            buckets = ev.bucket_by_depth(step_rows)
-            counts: dict[int, int] = {}
-            for row in step_rows:
-                counts[row.depth] = counts.get(row.depth, 0) + 1
-            for depth_value, (precision, recall) in buckets.items():
-                writer.writerow(
-                    [step, depth_value, counts.get(depth_value, 0), f"{precision:.6f}", f"{recall:.6f}"]
-                )
+    rows = []
+    for step in ev.STEPS:
+        step_rows = [r for r in report.rows if r.step == step]
+        if not step_rows:
+            continue
+        buckets = ev.bucket_by_depth(step_rows)
+        counts: dict[int, int] = {}
+        for row in step_rows:
+            counts[row.depth] = counts.get(row.depth, 0) + 1
+        for depth_value, (precision, recall) in buckets.items():
+            rows.append([step, depth_value, counts.get(depth_value, 0), f"{precision:.6f}", f"{recall:.6f}"])
+    _write_csv(path, ["step", "depth", "sources", "mean_precision", "mean_recall"], rows)

@@ -25,6 +25,7 @@ from .errors import (
     ProviderError,
     ProviderTimeoutError,
     RateLimitExhaustedError,
+    encode_text,
     require_types,
 )
 
@@ -338,7 +339,7 @@ class MockScript:
             for stage, steps in stage_steps.items():
                 rng = None
                 if corruption and corruption.active and stage in corruption.stages:
-                    digest = hashlib.sha256(f"{corruption.seed}|{source_id}|{stage}".encode("utf-8")).digest()
+                    digest = hashlib.sha256(encode_text(f"{corruption.seed}|{source_id}|{stage}")).digest()
                     rng = random.Random(int.from_bytes(digest[:8], "big"))
                 responses[(source_id, stage)] = "\n".join(step(tag, body, rng) for tag, body in steps)
         return cls(responses)

@@ -4,6 +4,7 @@ import csv
 import hashlib
 import json
 import math
+import os
 import shutil
 from pathlib import Path
 
@@ -558,22 +559,76 @@ def test_a_shot_that_is_no_setting_or_count_exits_one(shot, toy_dir, tmp_path, c
     assert err.count("\n") == 1
 
 
-def test_a_reply_holding_a_lone_surrogate_is_written_and_the_run_completes(toy_dir, tmp_path, capout):
-    # The mock replays gold, so a test source's gold file whose JSON escapes a
-    # lone surrogate puts one in that source's replies.
+def _gold_with_a_lone_surrogate(toy_dir: Path, tmp_path: Path, sid: str) -> Path:
+    """A copy of the toy golds whose `sid` file escapes a lone surrogate in a
+    property name; the mock replays a test source's gold, and a known
+    source's gold is an example in the system prompt."""
     gold = tmp_path / "gold"
     shutil.copytree(toy_dir / "gold", gold)
-    path = gold / "artists.json"
+    path = gold / f"{sid}.json"
     text = path.read_text(encoding="utf-8").replace("P131_is_identified_by", "P131\\ud800")
     path.write_text(text, encoding="utf-8")
-    assert "artists" in split_dataset(sorted(p.stem for p in gold.iterdir()), 2023, 0.5, "half").test
+    return gold
+
+
+@pytest.mark.parametrize("sid, known", [("artists", False), ("artworks", True)], ids=["artists", "artworks"])
+def test_a_reply_holding_a_lone_surrogate_is_written_and_the_run_completes(sid, known, toy_dir, tmp_path, capout):
+    gold = _gold_with_a_lone_surrogate(toy_dir, tmp_path, sid)
+    split = split_dataset(sorted(p.stem for p in gold.iterdir()), 2023, 0.5, "half")
+    assert (sid in split.known, sid in split.test) == (known, not known)
     config = _write_config(toy_dir, tmp_path, gold_dir=str(gold))
     assert main(["experiment", "--config", str(config)]) == 0
     assert "modeling: precision 1.000 recall 1.000" in capout().out
     out = tmp_path / "out"
     assert all((out / name).is_file() for name in ("report.csv", "aggregate.json", "depth_buckets.csv"))
-    labels = json.loads((out / "sources" / "artists" / "labels.json").read_text(encoding="utf-8"))
-    assert ["crm:E21_Person1", "crm:P131\ud800", "name"] in labels["semantic_triples"]
+    prompt = (out / "system_prompt.txt").read_bytes()
+    assert (b"crm:P131\\ud800" in prompt) == known
+    digest = hashlib.sha256(prompt).hexdigest()
+    for test_sid in split.test:
+        lines = (out / "sources" / test_sid / "transcript.jsonl").read_text(encoding="utf-8").splitlines()
+        assert lines and all(json.loads(line)["system_sha256"] == digest for line in lines)
+    if not known:
+        labels = json.loads((out / "sources" / sid / "labels.json").read_text(encoding="utf-8"))
+        assert ["crm:E21_Person1", "crm:P131\ud800", "name"] in labels["semantic_triples"]
+
+
+def test_build_prompt_writes_a_known_gold_holding_a_lone_surrogate(toy_dir, tmp_path, capout):
+    gold = _gold_with_a_lone_surrogate(toy_dir, tmp_path, "artworks")
+    config = _write_config(toy_dir, tmp_path, gold_dir=str(gold))
+    prompt_path = tmp_path / "system.txt"
+    assert main(["build-prompt", "--config", str(config), "--out", str(prompt_path)]) == 0
+    assert b"crm:P131\\ud800" in prompt_path.read_bytes()
+    capout()
+    assert main(["build-prompt", "--config", str(config)]) == 0
+    assert capout().out == prompt_path.read_text(encoding="utf-8") + "\n"
+
+
+@pytest.mark.parametrize(
+    "provider", [{"kind": "mock"}, {"kind": "mock", "corruption": {"drop_triples": 1, "seed": 3}}],
+    ids=["clean", "corrupted"],
+)
+def test_a_source_whose_file_name_is_not_utf8_runs_through(provider, toy_dir, tmp_path, capout):
+    # On Linux a file name is bytes; the byte 0xff decodes to the lone
+    # surrogate U+DCFF, which every artifact naming the source, and the
+    # corrupting mock's seed, must encode.
+    sources, gold = tmp_path / "sources", tmp_path / "gold"
+    shutil.copytree(toy_dir / "sources", sources)
+    shutil.copytree(toy_dir / "gold", gold)
+    sid = os.fsdecode(b"don\xffations")
+    try:
+        (sources / "donations.csv").rename(sources / f"{sid}.csv")
+        (gold / "donations.json").rename(gold / f"{sid}.json")
+    except (OSError, UnicodeEncodeError):
+        pytest.skip("this filesystem refuses a file name that is not UTF-8")
+    assert sid in split_dataset(sorted(p.stem for p in gold.iterdir()), 2023, 0.5, "half").test
+    config = _write_config(toy_dir, tmp_path, sources_dir=str(sources), gold_dir=str(gold), provider=provider)
+    assert main(["experiment", "--config", str(config)]) == 0
+    out = tmp_path / "out"
+    assert all((out / name).is_file() for name in ("report.csv", "aggregate.json", "depth_buckets.csv"))
+    with (out / "report.csv").open(newline="", encoding="utf-8") as handle:
+        rows = list(csv.DictReader(handle))
+    assert "don\\udcffations" in {row["source_id"] for row in rows}
+    assert not any(row["error"] for row in rows)
 
 
 def test_a_gold_file_with_an_upper_case_suffix_is_found(toy_dir, tmp_path, capout):

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import random
+import sys
 import time
 
 import pytest
@@ -198,6 +199,22 @@ class TestMatchTriples:
         started = time.perf_counter()
         assert match_triples(gold, pred)[0] == gold.size() == 7 * k
         assert time.perf_counter() - started < 5.0
+
+    def test_a_wide_model_matches_under_a_low_stack_limit(self):
+        # The search goes one level deeper per instance it assigns, 300 here;
+        # the limit set below allows only 100 frames above this test's own.
+        gold = _model(sems=[_sem(f"Person{i}", "has_name", f"col{i}") for i in range(1, 301)])
+        pred = renamed_copy(gold, random.Random(3))
+        frame, depth = sys._getframe(), 0
+        while frame is not None:
+            frame, depth = frame.f_back, depth + 1
+        limit = sys.getrecursionlimit()
+        sys.setrecursionlimit(depth + 100)
+        try:
+            detail = score_detail(gold, pred, MODELING)
+        finally:
+            sys.setrecursionlimit(limit)
+        assert detail == (1.0, 1.0, 300, 300, 300)
 
     def test_reported_bijection_is_deterministic(self):
         rng = random.Random(35)

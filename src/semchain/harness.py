@@ -456,9 +456,14 @@ def _run_one_source(
         outcomes, tokens = [error] * len(prunes), 0
     wall_ms = (time.perf_counter() - started) * 1000.0
     scored = []
+    # Pruning that removed nothing leaves an outcome equal to one scored already.
+    rows_for: dict[tuple[sm.SemanticModel, sm.SemanticModel], list[ev.ScoreRow]] = {}
     for outcome in outcomes:
         predictions = (_NO_PREDICTION, _NO_PREDICTION) if error else (outcome.labels, outcome.final_model)
-        rows = []
+        if predictions in rows_for:
+            scored.append((rows_for[predictions], outcome))
+            continue
+        rows = rows_for[predictions] = []
         for step, predicted in zip(ev.STEPS, predictions):
             precision, recall, intersection, gold_size, predicted_size = ev.score_detail(
                 gold, predicted, step

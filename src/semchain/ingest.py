@@ -11,7 +11,7 @@ import xml.etree.ElementTree as ET
 from dataclasses import dataclass
 from enum import Enum
 from operator import attrgetter
-from typing import Callable, Iterable, Iterator, Mapping
+from typing import Callable, Iterable, Iterator, Mapping, NoReturn
 
 from .errors import EmptySourceError, FormatError, decode_json, decode_text
 
@@ -72,10 +72,12 @@ def parse_source(
     Absent values become the `<Empty>` sentinel, nested XML/JSON fields are
     flattened to dotted attribute names, and every cell is kept as a string.
     One pass checks every record and discovers every attribute, but only the
-    first `record_cap` records are kept (all of them when it is None). Past
-    the cap, an XML or JSON record is flattened only when its tag or key tree
-    is new, and the cyclic garbage collector is paused while the source is
-    parsed.
+    first `record_cap` records are kept (all of them when it is None). XML
+    and JSON are parsed as streams of records, so memory is the text plus the
+    kept records and one key per distinct record shape, never the parsed
+    document. Past the cap, an XML or JSON record is flattened only when its
+    tag or key tree is new, and the cyclic garbage collector is paused while
+    the source is parsed.
     """
     if record_cap is not None and record_cap < 1:
         raise ValueError("record_cap must be >= 1")
@@ -84,7 +86,7 @@ def parse_source(
     fmt = SourceFormat(format)
     # The parsers build only acyclic containers (elements, dicts, lists), which
     # reference counting frees; left running, the cyclic collector rescans the
-    # growing tree or document many times over while adding nothing.
+    # records being built many times over while adding nothing.
     enabled = gc.isenabled()
     gc.disable()
     # Flattening nested XML/JSON fields recurses once per level.
@@ -138,25 +140,46 @@ def _csv_rows(reader, source_id: str) -> Iterator[list[str]]:
 
 # --- XML --------------------------------------------------------------------
 
+# Characters fed to the XML parser at a time. The root's children that a slice
+# completes are checked and dropped before the next slice is parsed.
+_XML_SLICE = 1 << 16
+
+
 def _parse_xml(text: str, source_id: str, cap: int) -> Table:
+    builder = ET.TreeBuilder()
+    # The parser builds the document root as the first child of this outer
+    # element, where the root's completed children can be taken between slices.
+    outer = builder.start("document", {})
+    parser = ET.XMLParser(target=builder)
+    groups: dict[str, _Records] = {}
+
+    def take(children: Iterable[ET.Element]) -> None:
+        for child in children:
+            records = groups.get(child.tag)
+            if records is None:
+                records = groups[child.tag] = _Records(cap, source_id, _xml_shape, _flatten_xml)
+            records.add(child)
+
     try:
-        root = ET.fromstring(text)
+        for start in range(0, len(text), _XML_SLICE):
+            parser.feed(text[start:start + _XML_SLICE])
+            if len(outer):
+                # Every child but the last is complete.
+                take(outer[0][:-1])
+                del outer[0][:-1]
+        parser.close()
     except ET.ParseError as exc:
         raise FormatError(f"{source_id}: bad XML: {exc}") from None
-    counts: dict[str, int] = {}
-    for child in root:
-        counts[child.tag] = counts.get(child.tag, 0) + 1
-    if not counts:
+    take(outer[0])
+    if not groups:
         raise EmptySourceError(f"{source_id}: XML root has no child elements")
     # The repeated-record element is the most frequent child tag of the root;
     # ties go to the tag encountered first.
-    record_tag = max(counts, key=counts.get)  # type: ignore[arg-type]
-    elems = (elem for elem in root if elem.tag == record_tag)
-    records = _flattened(elems, cap, source_id, _xml_shape, _flatten_xml)
-    return _assemble(source_id, SourceFormat.XML, records, cap)
+    return max(groups.values(), key=_COUNT).table(SourceFormat.XML)
 
 
 _TAG = attrgetter("tag")
+_COUNT = attrgetter("count")
 
 
 def _xml_shape(elem: ET.Element) -> tuple:
@@ -177,10 +200,113 @@ def _flatten_xml(elem: ET.Element, prefix: str, out: dict[str, str], source_id: 
 
 # --- JSON -------------------------------------------------------------------
 
+_DECODER = json.JSONDecoder()
+_SPACE = json.decoder.WHITESPACE.match
+
+
 def _parse_json(text: str, source_id: str, cap: int) -> Table:
-    doc = decode_json(text, source_id)
-    records = _flattened(_locate_records(doc, source_id), cap, source_id, _json_shape, _flatten_json)
-    return _assemble(source_id, SourceFormat.JSON, records, cap)
+    # The records are decoded one at a time: the items of a top-level array,
+    # or of each array a top-level object holds. Any other value is decoded
+    # whole. The scan follows json.loads' grammar, and text it rejects goes
+    # to json.loads, whose error is raised.
+    def records() -> _Records:
+        return _Records(cap, source_id, _json_shape, _flatten_json)
+
+    start = _SPACE(text).end()
+    if text.startswith("[", start):
+        found, end = _json_array(text, start, records(), source_id)
+        _json_end(text, end, source_id)
+        if found is None:
+            raise FormatError(f"{source_id}: top-level JSON array holds non-object entries")
+        return found.table(SourceFormat.JSON)
+    if not text.startswith("{", start):
+        decode_json(text, source_id)
+        raise FormatError(f"{source_id}: JSON document is neither an array nor an object")
+    # Each member's value: an array's records, or None when the value is no
+    # array of objects. A repeated key keeps its last value, as in json.loads.
+    members: dict[str, _Records | None] = {}
+
+    def member(i: int) -> int:
+        if not text.startswith('"', i):
+            _not_json(text, source_id)
+        try:
+            key, i = json.decoder.scanstring(text, i + 1)
+        except ValueError:
+            _not_json(text, source_id)
+        i = _SPACE(text, i).end()
+        if not text.startswith(":", i):
+            _not_json(text, source_id)
+        i = _SPACE(text, i + 1).end()
+        if text.startswith("[", i):
+            members[key], i = _json_array(text, i, records(), source_id)
+        else:
+            members[key], i = None, _json_value(text, i, source_id)[1]
+        return i
+
+    _json_end(text, _json_entries(text, start, "}", member, source_id), source_id)
+    candidates = [found for found in members.values() if found is not None]
+    # An empty array beside a non-empty one holds no records; it only
+    # counts when every candidate is empty.
+    candidates = [found for found in candidates if found.count] or candidates
+    if len(candidates) != 1:
+        raise FormatError(
+            f"{source_id}: expected exactly one array-of-records field, found {len(candidates)}"
+        )
+    return candidates[0].table(SourceFormat.JSON)
+
+
+def _json_array(text: str, start: int, records: _Records, source_id: str) -> tuple[_Records | None, int]:
+    """Hand each item of the array opening at `start` to `records`; return
+    them, or None once an item is no object, and the index past the array."""
+    found: _Records | None = records
+
+    def item(i: int) -> int:
+        nonlocal found
+        value, i = _json_value(text, i, source_id)
+        if found is not None:
+            if isinstance(value, dict):
+                found.add(value)
+            else:
+                found = None
+        return i
+
+    end = _json_entries(text, start, "]", item, source_id)
+    return found, end
+
+
+def _json_entries(text: str, start: int, close: str, entry: Callable[[int], int], source_id: str) -> int:
+    """Scan the comma-separated entries of the array or object opening at
+    `start`, each with `entry` (its start index to its end index); return
+    the index past the closing `close`."""
+    i = _SPACE(text, start + 1).end()
+    if text.startswith(close, i):
+        return i + 1
+    while True:
+        i = _SPACE(text, entry(i)).end()
+        if text.startswith(close, i):
+            return i + 1
+        if not text.startswith(",", i):
+            _not_json(text, source_id)
+        i = _SPACE(text, i + 1).end()
+
+
+def _json_value(text: str, i: int, source_id: str) -> tuple:
+    try:
+        return _DECODER.raw_decode(text, i)
+    except ValueError:
+        _not_json(text, source_id)
+
+
+def _json_end(text: str, end: int, source_id: str) -> None:
+    if _SPACE(text, end).end() != len(text):
+        _not_json(text, source_id)
+
+
+def _not_json(text: str, source_id: str) -> NoReturn:
+    # The scan rejects only text that json.loads rejects too; its error
+    # message, not the scan's, is the one raised.
+    decode_json(text, source_id)
+    raise FormatError(f"{source_id}: not JSON")
 
 
 def _json_shape(item: dict) -> tuple:
@@ -198,28 +324,6 @@ def _json_shape(item: dict) -> tuple:
                 queue.append(child)
         tree.append(None)
     return tuple(tree)
-
-
-def _locate_records(doc, source_id: str) -> list[dict]:
-    if isinstance(doc, list):
-        if not all(isinstance(item, dict) for item in doc):
-            raise FormatError(f"{source_id}: top-level JSON array holds non-object entries")
-        return doc
-    if isinstance(doc, dict):
-        candidates = [
-            value
-            for value in doc.values()
-            if isinstance(value, list) and all(isinstance(item, dict) for item in value)
-        ]
-        # An empty array beside a non-empty one holds no records; it only
-        # counts when every candidate is empty.
-        candidates = [value for value in candidates if value] or candidates
-        if len(candidates) != 1:
-            raise FormatError(
-                f"{source_id}: expected exactly one array-of-records field, found {len(candidates)}"
-            )
-        return candidates[0]
-    raise FormatError(f"{source_id}: JSON document is neither an array nor an object")
 
 
 def _flatten_json(value: dict, prefix: str, out: dict, source_id: str) -> dict:
@@ -242,31 +346,47 @@ def _cell(value) -> str:
 
 # --- shared -----------------------------------------------------------------
 
-def _flattened(
-    items: Iterable, cap: int, source_id: str, shape: Callable, flatten: Callable
-) -> Iterator[dict]:
-    # Names, collisions and repeated elements depend only on a record's tag or
-    # key tree, so past the cap a record is flattened only when its tree is new.
-    shapes: set[tuple] = set()
-    for i, item in enumerate(items):
-        if i >= cap:
-            key = shape(item)
-            if key in shapes:
-                continue
-            shapes.add(key)
-        yield flatten(item, "", {}, source_id)
+class _Records:
+    """One group of records that may be the source's, checked one at a time
+    as the parser reaches them.
 
+    It keeps the record count, the first `cap` records flattened, the
+    attributes of every record in first-seen order, and the first defect,
+    which is raised only if the group is chosen as the source's records.
+    """
 
-def _assemble(source_id: str, fmt: SourceFormat, records: Iterable[dict], cap: int) -> Table:
-    # Attributes come from every record in first-seen order (the dict is an
-    # ordered set); only the first `cap` records are kept, as strings.
-    attributes: dict = {}
-    head = []
-    for record in records:
-        attributes.update(record)
-        if len(head) < cap:
-            head.append(record)
-    if not attributes:
-        raise EmptySourceError(f"{source_id}: no attributes discovered")
-    filled = [{a: _cell(record.get(a)) for a in attributes} for record in head]
-    return Table(source_id, fmt, tuple(attributes), tuple(filled))
+    def __init__(self, cap: int, source_id: str, shape: Callable, flatten: Callable) -> None:
+        self.count = 0
+        self.head: list[dict] = []
+        self.shapes: set[tuple] = set()
+        self.attributes: dict = {}  # an ordered set
+        self.error: Exception | None = None
+        self._cap, self._source_id, self._shape, self._flatten = cap, source_id, shape, flatten
+
+    def add(self, item) -> None:
+        self.count += 1
+        if self.error is not None:
+            return
+        # Names, collisions and repeated elements depend only on a record's tag
+        # or key tree, so past the cap a record is flattened only when its tree is new.
+        if self.count > self._cap:
+            key = self._shape(item)
+            if key in self.shapes:
+                return
+            self.shapes.add(key)
+        try:
+            record = self._flatten(item, "", {}, self._source_id)
+        except (FormatError, RecursionError) as exc:
+            self.error = exc
+            return
+        self.attributes.update(record)
+        if len(self.head) < self._cap:
+            self.head.append(record)
+
+    def table(self, fmt: SourceFormat) -> Table:
+        if self.error is not None:
+            raise self.error
+        if not self.attributes:
+            raise EmptySourceError(f"{self._source_id}: no attributes discovered")
+        filled = [{a: _cell(record.get(a)) for a in self.attributes} for record in self.head]
+        return Table(self._source_id, fmt, tuple(self.attributes), tuple(filled))

@@ -219,15 +219,20 @@ class HttpProvider:
         }
         url = self.config.base_url.rstrip("/") + "/chat/completions"
         headers = {"Authorization": f"Bearer {self._api_key}"}
+        # Seconds the server asked to wait before the next attempt, if it did.
+        retry_after: int | None = None
         for attempt in range(self.config.max_retries + 1):
             if attempt:
-                self._sleep(min(2.0 ** (attempt - 1), 30.0))
+                self._sleep(min(2.0 ** (attempt - 1) if retry_after is None else retry_after, 30.0))
+            retry_after = None
             self._limiter.acquire()
             try:
                 response = self._session.post(url, json=body, headers=headers, timeout=self.config.timeout)
                 status = response.status_code
                 if status in (401, 403):
                     raise AuthError(f"provider rejected credentials: HTTP {status}")
+                if status in (429, 503):
+                    retry_after = _delay_seconds(response.headers.get("Retry-After"))
                 if status == 429:
                     error = RateLimitExhaustedError(f"still rate limited after retries: {response.text[:500]}")
                     continue
@@ -263,6 +268,13 @@ class HttpProvider:
         if counts and all(type(n) is int for n in counts):
             return Completion(text, TokenUsage(*counts))
         return Completion(text, _naive_usage(system, turns, text))
+
+
+def _delay_seconds(retry_after: str | None) -> int | None:
+    """A `Retry-After` header's delay-seconds (RFC 9110 §10.2.3: one or more
+    ASCII digits), or None for an absent header, an HTTP-date or anything else."""
+    value = (retry_after or "").strip()
+    return int(value) if value.isascii() and value.isdigit() else None
 
 
 # --- deterministic mock -------------------------------------------------------

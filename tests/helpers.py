@@ -7,11 +7,18 @@ share code paths with the package.
 
 from __future__ import annotations
 
+import json
 import random
 import re
+import sys
+import xml.etree.ElementTree as ET
 from collections import defaultdict
+from operator import attrgetter
+from typing import Callable, Iterable, Iterator
 
 from semchain import ClassInstance, InternalLinkTriple, SemanticModel, SemanticTriple
+from semchain.errors import EmptySourceError, FormatError, decode_json, decode_text
+from semchain.ingest import EMPTY, SourceFormat, Table
 
 CLASS_POOL = ("Person", "Artifact", "Production", "Span", "Place")
 DATA_PROPERTY_POOL = ("identified_by", "has_note", "within")
@@ -338,3 +345,156 @@ DEEPLY_NESTED = {
     "objects.json": b'[{"a": ' + b'{"a": ' * 3000 + b"1" + b"}" * 3000 + b"}]",
     "elements.xml": b"<root><r>" + b"<e>" * 5000 + b"x" + b"</e>" * 5000 + b"</r></root>",
 }
+
+
+# --- whole-document ingest --------------------------------------------------
+# The XML/JSON parse as it was before ingest streamed records: the whole
+# document is built (`ET.fromstring`, `json.loads`), then its records are
+# located, flattened and assembled. `parse_source` must give the same Table,
+# or the same exception type and message, at every record cap.
+
+
+def whole_document_parse(raw: bytes, format: SourceFormat, source_id: str, record_cap: int | None = None) -> Table:
+    """The reference for `parse_source` on an XML or JSON source."""
+    text = decode_text(raw, source_id)
+    cap = sys.maxsize if record_cap is None else record_cap
+    try:
+        if SourceFormat(format) is SourceFormat.XML:
+            return _parse_xml(text, source_id, cap)
+        return _parse_json(text, source_id, cap)
+    except RecursionError:
+        raise FormatError(f"{source_id}: nested too deeply to parse") from None
+
+
+def _parse_xml(text: str, source_id: str, cap: int) -> Table:
+    try:
+        root = ET.fromstring(text)
+    except ET.ParseError as exc:
+        raise FormatError(f"{source_id}: bad XML: {exc}") from None
+    counts: dict[str, int] = {}
+    for child in root:
+        counts[child.tag] = counts.get(child.tag, 0) + 1
+    if not counts:
+        raise EmptySourceError(f"{source_id}: XML root has no child elements")
+    # The repeated-record element is the most frequent child tag of the root;
+    # ties go to the tag encountered first.
+    record_tag = max(counts, key=counts.get)  # type: ignore[arg-type]
+    elems = (elem for elem in root if elem.tag == record_tag)
+    records = _flattened(elems, cap, source_id, _xml_shape, _flatten_xml)
+    return _assemble(source_id, SourceFormat.XML, records, cap)
+
+
+_TAG = attrgetter("tag")
+
+
+def _xml_shape(elem: ET.Element) -> tuple:
+    return tuple(map(_TAG, elem.iter())), tuple(map(len, elem.iter()))
+
+
+def _flatten_xml(elem: ET.Element, prefix: str, out: dict[str, str], source_id: str) -> dict[str, str]:
+    for child in elem:
+        name = f"{prefix}.{child.tag}" if prefix else child.tag
+        if len(child):
+            _flatten_xml(child, name, out, source_id)
+            continue
+        if name in out:
+            raise FormatError(f"{source_id}: repeated element <{name}> within one record")
+        out[name] = (child.text or "").strip()
+    return out
+
+
+# JSON -------------------------------------------------------------------
+
+def _parse_json(text: str, source_id: str, cap: int) -> Table:
+    doc = decode_json(text, source_id)
+    records = _flattened(_locate_records(doc, source_id), cap, source_id, _json_shape, _flatten_json)
+    return _assemble(source_id, SourceFormat.JSON, records, cap)
+
+
+def _json_shape(item: dict) -> tuple:
+    # The key tree: the record's keys, then breadth-first, each dict value's
+    # key and keys, with None closing each dict. A queue in place of recursion
+    # leaves running out of depth to _flatten_json, and comparing two flat
+    # trees does not recurse either.
+    tree = [tuple(item)]
+    queue = [item]
+    for value in queue:
+        for key, child in value.items():
+            if isinstance(child, dict):
+                tree.append(key)
+                tree.append(tuple(child))
+                queue.append(child)
+        tree.append(None)
+    return tuple(tree)
+
+
+def _locate_records(doc, source_id: str) -> list[dict]:
+    if isinstance(doc, list):
+        if not all(isinstance(item, dict) for item in doc):
+            raise FormatError(f"{source_id}: top-level JSON array holds non-object entries")
+        return doc
+    if isinstance(doc, dict):
+        candidates = [
+            value
+            for value in doc.values()
+            if isinstance(value, list) and all(isinstance(item, dict) for item in value)
+        ]
+        # An empty array beside a non-empty one holds no records; it only
+        # counts when every candidate is empty.
+        candidates = [value for value in candidates if value] or candidates
+        if len(candidates) != 1:
+            raise FormatError(
+                f"{source_id}: expected exactly one array-of-records field, found {len(candidates)}"
+            )
+        return candidates[0]
+    raise FormatError(f"{source_id}: JSON document is neither an array nor an object")
+
+
+def _flatten_json(value: dict, prefix: str, out: dict, source_id: str) -> dict:
+    for key, item in value.items():
+        name = f"{prefix}.{key}" if prefix else str(key)
+        if isinstance(item, dict):
+            _flatten_json(item, name, out, source_id)
+            continue
+        if name in out:
+            raise FormatError(f"{source_id}: flattened name {name!r} collides")
+        out[name] = item
+    return out
+
+
+def _cell(value) -> str:
+    if value is None or value == "":
+        return EMPTY
+    return value if isinstance(value, str) else json.dumps(value, ensure_ascii=False)
+
+
+# shared -----------------------------------------------------------------
+
+def _flattened(
+    items: Iterable, cap: int, source_id: str, shape: Callable, flatten: Callable
+) -> Iterator[dict]:
+    # Names, collisions and repeated elements depend only on a record's tag or
+    # key tree, so past the cap a record is flattened only when its tree is new.
+    shapes: set[tuple] = set()
+    for i, item in enumerate(items):
+        if i >= cap:
+            key = shape(item)
+            if key in shapes:
+                continue
+            shapes.add(key)
+        yield flatten(item, "", {}, source_id)
+
+
+def _assemble(source_id: str, fmt: SourceFormat, records: Iterable[dict], cap: int) -> Table:
+    # Attributes come from every record in first-seen order (the dict is an
+    # ordered set); only the first `cap` records are kept, as strings.
+    attributes: dict = {}
+    head = []
+    for record in records:
+        attributes.update(record)
+        if len(head) < cap:
+            head.append(record)
+    if not attributes:
+        raise EmptySourceError(f"{source_id}: no attributes discovered")
+    filled = [{a: _cell(record.get(a)) for a in attributes} for record in head]
+    return Table(source_id, fmt, tuple(attributes), tuple(filled))

@@ -457,6 +457,40 @@ class TestExperiment:
         assert sorted(chained) == sorted((sid, chaining) for sid in test for chaining in (False, True))
         assert setups == ["single-prompt", "chaining"]
 
+    @pytest.mark.parametrize(
+        "corruption", [None, {"inject_instances": 2, "seed": 7, "stages": ["chain2"]}], ids=["gold", "injected"]
+    )
+    def test_ablation_scores_a_pruned_outcome_only_when_pruning_changed_it(self, corruption, monkeypatch, toy_config):
+        scored = []
+        score_detail = harness.ev.score_detail
+
+        def counted(gold, predicted, step):
+            scored.append(step)
+            return score_detail(gold, predicted, step)
+
+        monkeypatch.setattr(harness.ev, "score_detail", counted)
+        provider = {"kind": "mock"} if corruption is None else {"kind": "mock", "corruption": corruption}
+        config = toy_config(provider=provider)
+        run_ablation(config)
+        ablation = Path(config.out_dir) / "ablation"
+        test = json.loads((ablation / "chaining" / "split.json").read_text())["test"]
+        changed = [
+            sid
+            for sid in test
+            if any(
+                (ablation / "chaining" / "sources" / sid / name).read_bytes()
+                != (ablation / "chaining+prune" / "sources" / sid / name).read_bytes()
+                for name in ("labels.json", "final_model.json")
+            )
+        ]
+        assert bool(changed) == (corruption is not None)
+        # Two steps for the single prompt and for the chain, and again for each pruned change.
+        assert len(scored) == 2 * (2 * len(test) + len(changed))
+        if not changed:
+            assert (ablation / "chaining" / "report.csv").read_bytes() == (
+                ablation / "chaining+prune" / "report.csv"
+            ).read_bytes()
+
     def test_chained_arms_share_failed_requests(self, toy_config, toy_golds, tmp_path):
         class _FailsChain2Once:
             def __init__(self):

@@ -7,6 +7,7 @@ import json
 import random
 import string
 import sys
+import tracemalloc
 import xml.etree.ElementTree as ET
 
 import pytest
@@ -15,12 +16,13 @@ from semchain import (
     EMPTY,
     SourceFormat,
     Table,
+    ingest,
     parse_source,
     serialize_table,
 )
 from semchain.errors import EmptySourceError, FormatError
 
-from helpers import DEEPLY_NESTED
+from helpers import DEEPLY_NESTED, whole_document_parse
 
 
 def test_parse_csv_missing_cell_becomes_sentinel():
@@ -249,9 +251,9 @@ def test_parse_is_total_on_generated_csv_and_xml():
                 pass
 
 
-def _outcome(raw: bytes, fmt: SourceFormat, record_cap=None):
+def _outcome(raw: bytes, fmt: SourceFormat, record_cap=None, parse=parse_source):
     try:
-        return parse_source(raw, fmt, "s", record_cap)
+        return parse(raw, fmt, "s", record_cap)
     except (FormatError, EmptySourceError) as exc:
         return type(exc), str(exc)
 
@@ -476,3 +478,124 @@ def test_deep_nesting_is_a_format_error(name):
     fmt = SourceFormat.from_suffix(name.rsplit(".", 1)[1])
     with pytest.raises(FormatError, match="deep_source: nested too deeply"):
         parse_source(DEEPLY_NESTED[name], fmt, "deep_source")
+
+
+# --- streamed XML/JSON against the whole-document reference -----------------
+
+# Leaves of one to four UTF-8 bytes per character, so that in a document
+# several slices long multi-byte characters sit on the slice boundaries.
+_TEXTS = ["x", "é", "ü&ö", "字<段>", "😀", "a b", "", "字段" * 20 + "😀" * 10]
+
+
+def _damaged(text: str, rng: random.Random) -> str:
+    """The text, or the text truncated at a random offset, with junk after
+    it, or with a random token inserted."""
+    roll = rng.random()
+    if roll < 0.25:
+        return text[: rng.randrange(len(text) + 1)]
+    if roll < 0.35:
+        return text + rng.choice(["x", " ]", "{}", "<x/>", "<!-- c -->", " \n", ","])
+    if roll < 0.45:
+        at = rng.randrange(len(text) + 1)
+        return text[:at] + rng.choice([",", "]", "}", '"', "<", "</row>", ":", " "]) + text[at:]
+    return text
+
+
+def _fuzz_json(rng: random.Random, n: int) -> str:
+    """A top-level array of `n` records, or an object whose members (keys may
+    repeat) hold such arrays, empty arrays, arrays with a non-object item,
+    or other values."""
+    names = rng.sample(_NAMES, rng.randint(1, 3))
+    shapes = [_record_shape(rng, names) for _ in range(rng.randint(1, 4))]
+    indent = rng.choice([None, 1])
+
+    def fill(shape: dict) -> dict:
+        return {k: rng.choice(_TEXTS + _LEAVES) if v is None else fill(v) for k, v in shape.items()}
+
+    def records() -> str:
+        items = [fill(rng.choice(shapes)) for _ in range(n)]
+        if items and rng.random() < 0.15:
+            items.insert(rng.randrange(len(items) + 1), rng.choice([1, "x", None, [], [{"a": 1}]]))
+        return json.dumps(items, ensure_ascii=rng.random() < 0.3, indent=indent)
+
+    if rng.random() < 0.4:
+        return records()
+    others = ['[]', '[1, 2]', '{"rows": [{"a": 1}]}', '"text"', "7", "null"]
+    members = [
+        f'{json.dumps(rng.choice(["records", "rows", "meta"]))}: '
+        f"{records() if rng.random() < 0.5 else rng.choice(others)}"
+        for _ in range(rng.randint(1, 4))
+    ]
+    return "{" + rng.choice([",", ", ", ",\n "]).join(members) + "}"
+
+
+def _fuzz_xml(rng: random.Random, n: int) -> str:
+    """A root of `n` records of several tags, or of `n` of each tag (tied
+    counts), whose records may repeat an element or collide once flattened."""
+    tags = rng.sample(["row", "item", "meta"], rng.randint(1, 3))
+    shapes = {tag: [_record_shape(rng, rng.sample(_NAMES, rng.randint(1, 3))) for _ in range(2)] for tag in tags}
+    order = [tag for tag in tags for _ in range(n)] if rng.random() < 0.3 else rng.choices(tags, k=n)
+    rng.shuffle(order)
+    root = ET.Element("root")
+    for tag in order:
+        record = ET.SubElement(root, tag)
+        _fill_xml(record, rng.choice(shapes[tag]), rng)
+        for cell in record.iter():
+            if not len(cell):
+                cell.text = rng.choice(_TEXTS)
+        if len(record) and rng.random() < 0.002:
+            record.append(record[0])
+        record.tail = rng.choice(["", "\n"])
+    return ET.tostring(root, encoding="unicode")
+
+
+@pytest.mark.parametrize("fmt", [SourceFormat.XML, SourceFormat.JSON])
+def test_streamed_parse_equals_the_whole_document_parse(fmt):
+    rng = random.Random(f"oracle-{fmt.value}")
+    generate = _fuzz_xml if fmt is SourceFormat.XML else _fuzz_json
+    outcomes = set()
+    long_documents = straddled = 0
+    for k in range(240):
+        # Every twelfth document may be several XML parser slices long.
+        text = _damaged(generate(rng, rng.randint(1500, 3000) if k % 12 == 0 else rng.randint(0, 6)), rng)
+        if len(text) > 3 * ingest._XML_SLICE:
+            long_documents += 1
+            boundaries = range(ingest._XML_SLICE, len(text), ingest._XML_SLICE)
+            straddled += sum(not text[at - 1 : at + 1].isascii() for at in boundaries)
+        raw = text.encode()
+        for cap in (1, 3, None):
+            expected = _outcome(raw, fmt, cap, whole_document_parse)
+            assert _outcome(raw, fmt, cap) == expected, (k, cap, text[:300])
+            outcomes.add(expected[0] if isinstance(expected, tuple) else Table)
+    assert outcomes == {Table, FormatError, EmptySourceError}
+    assert long_documents >= 2
+    if fmt is SourceFormat.XML:
+        assert straddled >= 5
+
+
+def _nested_source(fmt: SourceFormat, n: int) -> bytes:
+    if fmt is SourceFormat.XML:
+        rows = "".join(
+            f"<row><id>{i}</id><who><name>N{i}</name><born>{1800 + i % 200}</born></who><title>T{i}</title></row>\n"
+            for i in range(n)
+        )
+        return f"<rows>\n{rows}</rows>\n".encode()
+    records = [{"id": i, "who": {"name": f"N{i}", "born": 1800 + i % 200}, "title": f"T{i}"} for i in range(n)]
+    return json.dumps({"records": records}, indent=1).encode()
+
+
+@pytest.mark.parametrize("fmt", [SourceFormat.XML, SourceFormat.JSON])
+def test_parse_memory_beyond_the_text_stays_below_its_length(fmt):
+    # Building the whole document takes about ten times the text.
+    raw = _nested_source(fmt, 20_000)
+    text = raw.decode()
+    tracemalloc.start()
+    try:
+        table = parse_source(raw, fmt, "wide", 3)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert table.attributes == ("id", "who.name", "who.born", "title")
+    assert len(table.records) == 3
+    # parse_source holds the decoded text for the whole parse.
+    assert peak - sys.getsizeof(text) < len(text)

@@ -284,10 +284,11 @@ class TestRateLimiter:
 
 
 class _FakeResponse:
-    def __init__(self, status_code, payload=None, text=""):
+    def __init__(self, status_code, payload=None, text="", headers=None):
         self.status_code = status_code
         self._payload = payload
         self.text = text
+        self.headers = headers or {}
 
     def json(self):
         if self._payload is None:
@@ -332,14 +333,14 @@ def _api_key(monkeypatch):
     monkeypatch.setenv("SEMCHAIN_TEST_KEY", "k")
 
 
-def _provider(responses, **overrides):
+def _provider(responses, sleep=lambda s: None, **overrides):
     clockbox = [0.0]
 
     def clock():
         clockbox[0] += 0.001
         return clockbox[0]
 
-    return HttpProvider(_config(**overrides), session=_FakeSession(responses), clock=clock, sleep=lambda s: None)
+    return HttpProvider(_config(**overrides), session=_FakeSession(responses), clock=clock, sleep=sleep)
 
 
 class TestHttpProvider:
@@ -438,6 +439,29 @@ class TestHttpProvider:
         response._payload["usage"] = usage
         completion = _provider([response]).complete("the system", [Message("user", "hi there you")])
         assert completion.usage == TokenUsage(5, 2)
+
+    @pytest.mark.parametrize(
+        "failures, waits",
+        [
+            ([(429, "7"), (503, "7")], [7, 7]),
+            ([(429, "0"), (503, None)], [0, 2.0]),
+            ([(503, " 120 "), (429, "30")], [30.0, 30]),
+            ([(429, None), (503, None)], [1.0, 2.0]),
+            ([(429, "Wed, 21 Oct 2015 07:28:00 GMT"), (503, "1.5")], [1.0, 2.0]),
+            ([(429, "-1"), (503, "\N{SUPERSCRIPT TWO}")], [1.0, 2.0]),
+            ([(500, "7"), (502, "7")], [1.0, 2.0]),
+        ],
+        ids=["present", "zero-then-absent", "capped", "absent", "date-or-fraction", "signed-or-not-ascii", "other-5xx"],
+    )
+    def test_retry_after_delay_seconds_replace_the_backoff_step(self, failures, waits):
+        slept = []
+        responses = [
+            _FakeResponse(status, text="busy", headers={} if header is None else {"Retry-After": header})
+            for status, header in failures
+        ]
+        provider = _provider(responses + [_ok_response()], sleep=slept.append)
+        assert provider.complete("s", []).text == "hello"
+        assert slept == waits
 
     def test_non_2xx_fails_fast(self):
         provider = _provider([_FakeResponse(404, text="missing")])

@@ -63,7 +63,8 @@ def match_triples(
     match anything, each taking a free gold index of its class or None. The
     bound credits each open instance with the best it can still add: its
     semantic gain, a whole link to an assigned endpoint and half a link to an
-    open one. The first descent is a greedy dive; when its score meets the
+    open one, counting at most a gold index's degree of the links of one kind
+    and direction. The first descent is a greedy dive; when its score meets the
     root bound, as under gold replay, the search ends there. The worst case is
     exponential only in the instances that semantic triples do not pin to one
     gold index, such as link-only instances in a noisy prediction, whose
@@ -104,18 +105,28 @@ def match_triples(
             row = gains[slot(t.subject)]
             for g in targets:
                 row[g] = row.get(g, 0) + 1
-    # adjacent[i] holds, per matchable link, the other endpoint, i's gold
-    # indices with an allowed pair, and other's index -> i's partner indices.
+    # adjacent[i] holds one group per (link kind, direction) at i: each gold
+    # index's degree in that kind and direction, the map from the other
+    # endpoint's gold index to i's partner indices, and the other endpoints.
+    groups: dict[tuple, tuple[dict[int, int], dict[int, list[int]], list[int]]] = {}
     for link in predicted.internal_link_triples:
-        pairs = gold_links.get((link.subject.class_name, link.property, link.object.class_name))
+        kind = (link.subject.class_name, link.property, link.object.class_name)
+        pairs = gold_links.get(kind)
         if not pairs:
             continue
         s, o = slot(link.subject), slot(link.object)
-        for a, b, oriented in ((s, o, pairs), (o, s, [(y, x) for x, y in pairs])):
-            partners: dict[int, list[int]] = {}
-            for own, other in oriented:
-                partners.setdefault(other, []).append(own)
-            adjacent[a].append((b, {own for own, _ in oriented}, partners))
+        for a, b, outward in ((s, o, True), (o, s, False)):
+            group = groups.get((a, kind, outward))
+            if group is None:
+                degree: dict[int, int] = {}
+                partners: dict[int, list[int]] = {}
+                for x, y in pairs:
+                    own, other = (x, y) if outward else (y, x)
+                    degree[own] = degree.get(own, 0) + 1
+                    partners.setdefault(other, []).append(own)
+                group = groups[(a, kind, outward)] = (degree, partners, [])
+                adjacent[a].append(group)
+            group[2].append(b)
 
     # Branch ties go to the lowest (class, index).
     order = sorted(range(len(instances)), key=instances.__getitem__)
@@ -129,15 +140,23 @@ def match_triples(
     def credits(i: int) -> dict[int, int]:
         # Twice the most instance i can still add per free gold index: its
         # semantic gain, a whole link to an assigned endpoint, half a link to
-        # an unassigned one, so no link is counted twice.
+        # an unassigned one, so no link is counted twice. Distinct predicted
+        # links map to distinct gold links, so a group counts at gold index g
+        # at most g's degree of its links, the whole ones first: the degree
+        # test of subgraph matching (Ullmann 1976; Cordella et al. 2004).
         credit = {g: 2 * n for g, n in gains[i].items()}
-        for other, own, partners in adjacent[i]:
-            if other in value:
-                for g in partners.get(value[other], ()):
-                    credit[g] = credit.get(g, 0) + 2
-            else:
-                for g in own:
-                    credit[g] = credit.get(g, 0) + 1
+        for degree, partners, others in adjacent[i]:
+            whole: dict[int, int] = {}
+            halves = 0
+            for other in others:
+                if other in value:
+                    for g in partners.get(value[other], ()):
+                        whole[g] = whole.get(g, 0) + 1
+                else:
+                    halves += 1
+            for g in degree if halves else whole:
+                links = min(whole.get(g, 0), degree[g])
+                credit[g] = credit.get(g, 0) + 2 * links + min(halves, degree[g] - links)
         return {g: c for g, c in credit.items() if g not in used[i]}
 
     def assign(i: int, g: int | None) -> int:
@@ -146,9 +165,10 @@ def match_triples(
             return 0
         used[i].add(g)
         gained = gains[i].get(g, 0)
-        for other, _, partners in adjacent[i]:
-            if other in value and g in partners.get(value[other], ()):
-                gained += 1
+        for _, partners, others in adjacent[i]:
+            for other in others:
+                if other in value and g in partners.get(value[other], ()):
+                    gained += 1
         return gained
 
     def release(i: int) -> None:

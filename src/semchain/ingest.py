@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import codecs
 import csv
 import gc
 import io
@@ -13,7 +14,7 @@ from enum import Enum
 from operator import attrgetter
 from typing import Callable, Iterable, Iterator, Mapping, NoReturn
 
-from .errors import EmptySourceError, FormatError, decode_json, decode_text
+from .errors import EmptySourceError, FormatError, SemchainError, decode_json, decode_text
 
 EMPTY = "<Empty>"
 DEFAULT_RECORD_CAP = 3
@@ -72,32 +73,39 @@ def parse_source(
     Absent values become the `<Empty>` sentinel, nested XML/JSON fields are
     flattened to dotted attribute names, and every cell is kept as a string.
     One pass checks every record and discovers every attribute, but only the
-    first `record_cap` records are kept (all of them when it is None). XML
-    and JSON are parsed as streams of records, so memory is the text plus the
-    kept records and one key per distinct record shape, never the parsed
-    document. Past the cap, an XML or JSON record is flattened only when its
-    tag or key tree is new, and the cyclic garbage collector is paused while
-    the source is parsed.
+    first `record_cap` records are kept (all of them when it is None). The
+    bytes are decoded in slices of `_SLICE` bytes, and each parser reads the
+    slices as a stream of records, so memory is the bytes plus one slice, the
+    kept records and one key per distinct record shape, never the whole text
+    or the parsed document. A bad byte anywhere in the file is the error
+    raised, ahead of any parse error. Past the cap, an XML or JSON record is
+    flattened only when its tag or key tree is new, and the cyclic garbage
+    collector is paused while the source is parsed.
     """
     if record_cap is not None and record_cap < 1:
         raise ValueError("record_cap must be >= 1")
-    text = decode_text(raw_bytes, source_id)
     cap = sys.maxsize if record_cap is None else record_cap
     fmt = SourceFormat(format)
+    pieces = _decoded_slices(raw_bytes, source_id)
     # The parsers build only acyclic containers (elements, dicts, lists), which
     # reference counting frees; left running, the cyclic collector rescans the
     # records being built many times over while adding nothing.
     enabled = gc.isenabled()
     gc.disable()
-    # Flattening nested XML/JSON fields recurses once per level.
     try:
         if fmt is SourceFormat.CSV:
-            return _parse_csv(text, source_id, cap)
+            return _parse_csv(pieces, source_id, cap)
         if fmt is SourceFormat.XML:
-            return _parse_xml(text, source_id, cap)
-        return _parse_json(text, source_id, cap)
-    except RecursionError:
-        raise FormatError(f"{source_id}: nested too deeply to parse") from None
+            return _parse_xml(pieces, source_id, cap)
+        return _parse_json(_JsonWindow(pieces, raw_bytes, source_id), cap)
+    except (SemchainError, RecursionError) as exc:
+        # A bad byte later in the file beats the parse error.
+        for _ in pieces:
+            pass
+        # Flattening nested XML/JSON fields recurses once per level.
+        if isinstance(exc, RecursionError):
+            raise FormatError(f"{source_id}: nested too deeply to parse") from None
+        raise
     finally:
         if enabled:
             gc.enable()
@@ -111,10 +119,30 @@ def serialize_table(table: Table, record_cap: int = DEFAULT_RECORD_CAP) -> Seria
     return SerializedTable(json.dumps(rows, indent=2, ensure_ascii=False), record_cap)
 
 
+# --- slices -----------------------------------------------------------------
+
+# Bytes decoded at a time.
+_SLICE = 1 << 16
+
+
+def _decoded_slices(raw: bytes, source_id: str) -> Iterator[str]:
+    """The text of `raw` as UTF-8 without a leading BOM, decoded `_SLICE`
+    bytes at a time; a bad byte raises `decode_text`'s error for the file."""
+    decoder = codecs.getincrementaldecoder("utf-8-sig")()
+    try:
+        for start in range(0, len(raw), _SLICE):
+            piece = decoder.decode(raw[start:start + _SLICE], start + _SLICE >= len(raw))
+            if piece:
+                yield piece
+    except UnicodeDecodeError:
+        decode_text(raw, source_id)
+        raise
+
+
 # --- CSV --------------------------------------------------------------------
 
-def _parse_csv(text: str, source_id: str, cap: int) -> Table:
-    reader = csv.reader(io.StringIO(text, newline=""))
+def _parse_csv(pieces: Iterator[str], source_id: str, cap: int) -> Table:
+    reader = csv.reader(_lines(pieces))
     rows = _csv_rows(reader, source_id)
     header = next((row for row in rows if row), None)
     if header is None:
@@ -131,6 +159,23 @@ def _parse_csv(text: str, source_id: str, cap: int) -> Table:
     return Table(source_id, SourceFormat.CSV, tuple(header), tuple(records))
 
 
+def _lines(pieces: Iterator[str]) -> Iterator[str]:
+    """The lines of the text, split as `io.StringIO(text, newline="")` splits
+    them. Each run of pieces is cut after its last line break: a "\n", or a
+    "\r" that no "\n" follows. A "\r" that ends a piece stays held, since
+    the next piece may open with its "\n"."""
+    held: list[str] = []
+    for piece in pieces:
+        cut = max(piece.rfind("\n"), piece.rfind("\r", 0, -1)) + 1
+        if not cut:
+            held.append(piece)
+            continue
+        held.append(piece[:cut])
+        yield from io.StringIO("".join(held), newline="")
+        held = [piece[cut:]]
+    yield from io.StringIO("".join(held), newline="")
+
+
 def _csv_rows(reader, source_id: str) -> Iterator[list[str]]:
     try:
         yield from reader
@@ -140,12 +185,7 @@ def _csv_rows(reader, source_id: str) -> Iterator[list[str]]:
 
 # --- XML --------------------------------------------------------------------
 
-# Characters fed to the XML parser at a time. The root's children that a slice
-# completes are checked and dropped before the next slice is parsed.
-_XML_SLICE = 1 << 16
-
-
-def _parse_xml(text: str, source_id: str, cap: int) -> Table:
+def _parse_xml(pieces: Iterator[str], source_id: str, cap: int) -> Table:
     builder = ET.TreeBuilder()
     # The parser builds the document root as the first child of this outer
     # element, where the root's completed children can be taken between slices.
@@ -161,10 +201,11 @@ def _parse_xml(text: str, source_id: str, cap: int) -> Table:
             records.add(child)
 
     try:
-        for start in range(0, len(text), _XML_SLICE):
-            parser.feed(text[start:start + _XML_SLICE])
+        for piece in pieces:
+            parser.feed(piece)
             if len(outer):
-                # Every child but the last is complete.
+                # Every child but the last is complete; it is checked and
+                # dropped before the next slice is parsed.
                 take(outer[0][:-1])
                 del outer[0][:-1]
         parser.close()
@@ -204,46 +245,108 @@ _DECODER = json.JSONDecoder()
 _SPACE = json.decoder.WHITESPACE.match
 
 
-def _parse_json(text: str, source_id: str, cap: int) -> Table:
+class _JsonWindow:
+    """The decoded text of a JSON source, held from the entry being scanned on.
+
+    Each method takes an index into `text` at which to read and returns the
+    index past what it read. It may first drop the text before the index it
+    was given, so an index taken before the call is stale after it. A refill
+    keeps the text from that index and reads until the window holds at least
+    twice that, so a value many slices long is still decoded in linear time.
+    """
+
+    def __init__(self, pieces: Iterator[str], raw: bytes, source_id: str) -> None:
+        self.text = ""
+        self.source_id = source_id
+        self._pieces, self._raw = pieces, raw
+
+    def _more(self, i: int) -> bool:
+        """Drop the text before `i` and read on; False at the end of the source."""
+        kept = self.text[i:]
+        parts = [kept]
+        size = len(kept)
+        for piece in self._pieces:
+            parts.append(piece)
+            size += len(piece)
+            if size >= 2 * len(kept):
+                break
+        if len(parts) == 1:
+            return False
+        self.text = "".join(parts)
+        return True
+
+    def space(self, i: int) -> int:
+        """The index past the whitespace at `i`: a character of `text`, unless
+        the source ends there."""
+        i = _SPACE(self.text, i).end()
+        while i == len(self.text) and self._more(i):
+            i = _SPACE(self.text).end()
+        return i
+
+    def value(self, i: int) -> tuple:
+        """The JSON value at `i`."""
+        while True:
+            try:
+                value, end = _DECODER.raw_decode(self.text, i)
+            except ValueError:
+                if not self._more(i):
+                    self.fail()
+                i = 0
+                continue
+            # A number may go on past the window: "1.5e+" decodes as 1.5.
+            if len(self.text) - end > 3 or not self._more(i):
+                return value, end
+            i = 0
+
+    def whole(self) -> str:
+        return decode_text(self._raw, self.source_id)
+
+    def fail(self) -> NoReturn:
+        # The scan rejects only text that json.loads rejects too; its error
+        # message, not the scan's, is the one raised.
+        decode_json(self.whole(), self.source_id)
+        raise FormatError(f"{self.source_id}: not JSON")
+
+
+def _parse_json(window: _JsonWindow, cap: int) -> Table:
     # The records are decoded one at a time: the items of a top-level array,
     # or of each array a top-level object holds. Any other value is decoded
     # whole. The scan follows json.loads' grammar, and text it rejects goes
     # to json.loads, whose error is raised.
+    source_id = window.source_id
+
     def records() -> _Records:
         return _Records(cap, source_id, _json_shape, _flatten_json)
 
-    start = _SPACE(text).end()
-    if text.startswith("[", start):
-        found, end = _json_array(text, start, records(), source_id)
-        _json_end(text, end, source_id)
+    start = window.space(0)
+    if window.text.startswith("[", start):
+        found, end = _json_array(window, start, records())
+        _json_end(window, end)
         if found is None:
             raise FormatError(f"{source_id}: top-level JSON array holds non-object entries")
         return found.table(SourceFormat.JSON)
-    if not text.startswith("{", start):
-        decode_json(text, source_id)
+    if not window.text.startswith("{", start):
+        decode_json(window.whole(), source_id)
         raise FormatError(f"{source_id}: JSON document is neither an array nor an object")
     # Each member's value: an array's records, or None when the value is no
     # array of objects. A repeated key keeps its last value, as in json.loads.
     members: dict[str, _Records | None] = {}
 
     def member(i: int) -> int:
-        if not text.startswith('"', i):
-            _not_json(text, source_id)
-        try:
-            key, i = json.decoder.scanstring(text, i + 1)
-        except ValueError:
-            _not_json(text, source_id)
-        i = _SPACE(text, i).end()
-        if not text.startswith(":", i):
-            _not_json(text, source_id)
-        i = _SPACE(text, i + 1).end()
-        if text.startswith("[", i):
-            members[key], i = _json_array(text, i, records(), source_id)
+        if not window.text.startswith('"', i):
+            window.fail()
+        key, i = window.value(i)
+        i = window.space(i)
+        if not window.text.startswith(":", i):
+            window.fail()
+        i = window.space(i + 1)
+        if window.text.startswith("[", i):
+            members[key], i = _json_array(window, i, records())
         else:
-            members[key], i = None, _json_value(text, i, source_id)[1]
+            members[key], i = None, window.value(i)[1]
         return i
 
-    _json_end(text, _json_entries(text, start, "}", member, source_id), source_id)
+    _json_end(window, _json_entries(window, start, "}", member))
     candidates = [found for found in members.values() if found is not None]
     # An empty array beside a non-empty one holds no records; it only
     # counts when every candidate is empty.
@@ -255,14 +358,14 @@ def _parse_json(text: str, source_id: str, cap: int) -> Table:
     return candidates[0].table(SourceFormat.JSON)
 
 
-def _json_array(text: str, start: int, records: _Records, source_id: str) -> tuple[_Records | None, int]:
+def _json_array(window: _JsonWindow, start: int, records: _Records) -> tuple[_Records | None, int]:
     """Hand each item of the array opening at `start` to `records`; return
     them, or None once an item is no object, and the index past the array."""
     found: _Records | None = records
 
     def item(i: int) -> int:
         nonlocal found
-        value, i = _json_value(text, i, source_id)
+        value, i = window.value(i)
         if found is not None:
             if isinstance(value, dict):
                 found.add(value)
@@ -270,43 +373,29 @@ def _json_array(text: str, start: int, records: _Records, source_id: str) -> tup
                 found = None
         return i
 
-    end = _json_entries(text, start, "]", item, source_id)
+    end = _json_entries(window, start, "]", item)
     return found, end
 
 
-def _json_entries(text: str, start: int, close: str, entry: Callable[[int], int], source_id: str) -> int:
+def _json_entries(window: _JsonWindow, start: int, close: str, entry: Callable[[int], int]) -> int:
     """Scan the comma-separated entries of the array or object opening at
     `start`, each with `entry` (its start index to its end index); return
     the index past the closing `close`."""
-    i = _SPACE(text, start + 1).end()
-    if text.startswith(close, i):
+    i = window.space(start + 1)
+    if window.text.startswith(close, i):
         return i + 1
     while True:
-        i = _SPACE(text, entry(i)).end()
-        if text.startswith(close, i):
+        i = window.space(entry(i))
+        if window.text.startswith(close, i):
             return i + 1
-        if not text.startswith(",", i):
-            _not_json(text, source_id)
-        i = _SPACE(text, i + 1).end()
+        if not window.text.startswith(",", i):
+            window.fail()
+        i = window.space(i + 1)
 
 
-def _json_value(text: str, i: int, source_id: str) -> tuple:
-    try:
-        return _DECODER.raw_decode(text, i)
-    except ValueError:
-        _not_json(text, source_id)
-
-
-def _json_end(text: str, end: int, source_id: str) -> None:
-    if _SPACE(text, end).end() != len(text):
-        _not_json(text, source_id)
-
-
-def _not_json(text: str, source_id: str) -> NoReturn:
-    # The scan rejects only text that json.loads rejects too; its error
-    # message, not the scan's, is the one raised.
-    decode_json(text, source_id)
-    raise FormatError(f"{source_id}: not JSON")
+def _json_end(window: _JsonWindow, end: int) -> None:
+    if window.space(end) != len(window.text):
+        window.fail()
 
 
 def _json_shape(item: dict) -> tuple:

@@ -7,6 +7,8 @@ share code paths with the package.
 
 from __future__ import annotations
 
+import csv
+import io
 import json
 import random
 import re
@@ -348,23 +350,56 @@ DEEPLY_NESTED = {
 
 
 # --- whole-document ingest --------------------------------------------------
-# The XML/JSON parse as it was before ingest streamed records: the whole
-# document is built (`ET.fromstring`, `json.loads`), then its records are
-# located, flattened and assembled. `parse_source` must give the same Table,
-# or the same exception type and message, at every record cap.
+# The parse as it was before ingest streamed its input: the whole file is
+# decoded at once, a CSV is read from one `io.StringIO` of the text, and an
+# XML/JSON document is built whole (`ET.fromstring`, `json.loads`) before its
+# records are located, flattened and assembled. `parse_source` must give the
+# same Table, or the same exception type and message, at every record cap.
 
 
 def whole_document_parse(raw: bytes, format: SourceFormat, source_id: str, record_cap: int | None = None) -> Table:
-    """The reference for `parse_source` on an XML or JSON source."""
+    """The reference for `parse_source`."""
     text = decode_text(raw, source_id)
     cap = sys.maxsize if record_cap is None else record_cap
+    fmt = SourceFormat(format)
     try:
-        if SourceFormat(format) is SourceFormat.XML:
+        if fmt is SourceFormat.CSV:
+            return _parse_csv(text, source_id, cap)
+        if fmt is SourceFormat.XML:
             return _parse_xml(text, source_id, cap)
         return _parse_json(text, source_id, cap)
     except RecursionError:
         raise FormatError(f"{source_id}: nested too deeply to parse") from None
 
+
+# CSV -------------------------------------------------------------------
+
+def _parse_csv(text: str, source_id: str, cap: int) -> Table:
+    reader = csv.reader(io.StringIO(text, newline=""))
+    rows = _csv_rows(reader, source_id)
+    header = next((row for row in rows if row), None)
+    if header is None:
+        raise EmptySourceError(f"{source_id}: CSV has no header row")
+    if any(name == "" for name in header):
+        raise FormatError(f"{source_id}: empty attribute name in CSV header")
+    width = len(header)
+    records = []
+    for row in rows:
+        if len(row) > width:
+            raise FormatError(f"{source_id}: line {reader.line_num} has more cells than the header")
+        if row and len(records) < cap:
+            records.append({a: row[i] if i < len(row) and row[i] else EMPTY for i, a in enumerate(header)})
+    return Table(source_id, SourceFormat.CSV, tuple(header), tuple(records))
+
+
+def _csv_rows(reader, source_id: str) -> Iterator[list[str]]:
+    try:
+        yield from reader
+    except csv.Error as exc:
+        raise FormatError(f"{source_id}: bad CSV at line {reader.line_num}: {exc}") from None
+
+
+# XML -------------------------------------------------------------------
 
 def _parse_xml(text: str, source_id: str, cap: int) -> Table:
     try:

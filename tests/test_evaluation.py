@@ -42,6 +42,39 @@ def _link(a, prop, b):
     return InternalLinkTriple(ClassInstance.parse(a), prop, ClassInstance.parse(b))
 
 
+def _chains(k: int) -> SemanticModel:
+    """k chains Artifact -> Production -> Person -> Birth -> Span, shaped like
+    CIDOC-CRM events: Production and Birth carry no attribute, so only their
+    links say which gold instance they are."""
+    sems, links = [], []
+    for i in range(1, k + 1):
+        sems += [_sem(f"Artifact{i}", "has_title", f"title{i}"),
+                 _sem(f"Person{i}", "has_name", f"name{i}"),
+                 _sem(f"Span{i}", "has_date", f"date{i}")]
+        links += [_link(f"Artifact{i}", "produced_by", f"Production{i}"),
+                  _link(f"Production{i}", "carried_out_by", f"Person{i}"),
+                  _link(f"Person{i}", "brought_into_life", f"Birth{i}"),
+                  _link(f"Birth{i}", "has_span", f"Span{i}")]
+    return _model(sems, links)
+
+
+def _noisy_chains(k: int, rng: random.Random) -> tuple[SemanticModel, SemanticModel, int]:
+    """The chains, a renumbered copy with a fifth of its links dropped and
+    k/2 wrong links of two kinds added, and the triples the copy kept."""
+    gold = _chains(k)
+    renamed = renamed_copy(gold, rng)
+    links = {link for link in sorted(renamed.internal_link_triples) if rng.random() >= 0.2}
+    planted = len(renamed.semantic_triples) + len(links)
+    for subject, prop, obj in (("Production", "carried_out_by", "Person"), ("Person", "brought_into_life", "Birth")):
+        wrong = 0
+        while wrong < k // 2:
+            link = _link(f"{subject}{rng.randint(1, k)}", prop, f"{obj}{rng.randint(1, k)}")
+            if link not in links and link not in renamed.internal_link_triples:
+                links.add(link)
+                wrong += 1
+    return gold, _model(renamed.semantic_triples, links), planted
+
+
 class TestMatchTriples:
     def test_identical_models_fully_intersect(self, toy_golds):
         for gold in toy_golds.values():
@@ -91,6 +124,34 @@ class TestMatchTriples:
             pred = perturbed_copy(gold, rng) if i % 2 else random_model(rng, 3, 5, 4)
             intersection, _ = match_triples(gold, pred)
             assert intersection == best_intersection_bruteforce(gold, pred)
+
+    def test_matches_bruteforce_on_link_heavy_random_pairs(self):
+        # Two classes and up to ten links, so one instance often has more
+        # links of one kind and direction than a gold index has: the case
+        # the search's degree cap prunes.
+        rng = random.Random(2025)
+        for i in range(3000):
+            gold = random_model(rng, 3, 6, 10, class_pool=CLASS_POOL[:2])
+            pred = perturbed_copy(gold, rng) if i % 2 else random_model(rng, 3, 6, 10, class_pool=CLASS_POOL[:2])
+            assert match_triples(gold, pred)[0] == best_intersection_bruteforce(gold, pred), i
+
+    def test_degree_cap_counts_whole_links_before_half_links(self):
+        # Found by fuzzing against the brute force. Predicted A1 and B3 each
+        # have two outgoing q links, and most gold indices have q out-degree
+        # 1. A cap that kept a half link (to an open endpoint) ahead of a
+        # whole one (to an assigned endpoint) under-bounds a branch and
+        # prunes the optimum.
+        gold = _model(
+            [_sem("B2", "p", "y"), _sem("B3", "p", "y")],
+            [_link("A1", "q", "B2"), _link("B1", "q", "B3"), _link("B2", "q", "B1"),
+             _link("B3", "q", "A1"), _link("B3", "q", "B2")],
+        )
+        pred = _model(
+            [_sem("B2", "p", "z")],
+            [_link("A1", "q", "B1"), _link("A1", "q", "B3"), _link("B1", "q", "B2"),
+             _link("B2", "q", "A1"), _link("B3", "q", "B1"), _link("B3", "q", "B2")],
+        )
+        assert match_triples(gold, pred)[0] == best_intersection_bruteforce(gold, pred) == 4
 
     def test_intersection_bounds(self):
         rng = random.Random(4)
@@ -182,23 +243,23 @@ class TestMatchTriples:
 
     @pytest.mark.parametrize("k", [16, 32])
     def test_renumbered_link_only_chains_stay_fast(self, k):
-        # k chains Artifact -> Production -> Person -> Birth -> Span, shaped
-        # like CIDOC-CRM events: Production and Birth carry no attribute, so
-        # only their links say which gold instance they are.
-        sems, links = [], []
-        for i in range(1, k + 1):
-            sems += [_sem(f"Artifact{i}", "has_title", f"title{i}"),
-                     _sem(f"Person{i}", "has_name", f"name{i}"),
-                     _sem(f"Span{i}", "has_date", f"date{i}")]
-            links += [_link(f"Artifact{i}", "produced_by", f"Production{i}"),
-                      _link(f"Production{i}", "carried_out_by", f"Person{i}"),
-                      _link(f"Person{i}", "brought_into_life", f"Birth{i}"),
-                      _link(f"Birth{i}", "has_span", f"Span{i}")]
-        gold = _model(sems, links)
+        gold = _chains(k)
         pred = renamed_copy(gold, random.Random(k))
         started = time.perf_counter()
         assert match_triples(gold, pred)[0] == gold.size() == 7 * k
         assert time.perf_counter() - started < 5.0
+
+    def test_noisy_link_only_chains_stay_fast(self):
+        # The chains above, renumbered, with a fifth of the links dropped and
+        # k/2 wrong Production -> Person and Person -> Birth links added: the
+        # wrong links leave an open link-only instance more links of one kind
+        # than its gold partner has, which the degree cap stops crediting.
+        k = 8
+        started = time.perf_counter()
+        for seed in range(5):
+            gold, pred, planted = _noisy_chains(k, random.Random(seed))
+            assert planted <= match_triples(gold, pred)[0] <= gold.size()
+        assert time.perf_counter() - started < 10.0
 
     def test_a_wide_model_matches_under_a_low_stack_limit(self):
         # The search goes one level deeper per instance it assigns, 300 here;

@@ -130,6 +130,10 @@ class ProviderTimeoutError(ProviderError):
     """The provider did not answer within the configured timeout."""
 
 
+class TransportError(ProviderError):
+    """The connection or the reading of a reply failed in transport."""
+
+
 # --- harness --------------------------------------------------------------
 
 class ShotTooLargeError(SemchainError):

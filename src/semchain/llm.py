@@ -16,8 +16,6 @@ from dataclasses import dataclass
 from typing import Callable, Mapping, Protocol, Sequence
 from urllib.parse import urlsplit
 
-import requests
-
 from . import semantic_model as sm
 from .errors import (
     AuthError,
@@ -25,6 +23,7 @@ from .errors import (
     ProviderError,
     ProviderTimeoutError,
     RateLimitExhaustedError,
+    TransportError,
     encode_text,
     require_types,
 )
@@ -184,7 +183,8 @@ class HttpProvider:
     built, so an unset key fails before any request. Transient failures
     (timeouts, connection and other transport errors, 429, 5xx) are retried
     with exponential backoff up to max_retries; one shared rate limiter
-    paces all threads using this provider.
+    paces all threads using this provider. `requests` is imported only when
+    a provider is built, so offline runs never load the HTTP stack.
     """
 
     def __init__(
@@ -198,6 +198,8 @@ class HttpProvider:
         self._api_key = os.environ.get(config.api_key_env, "")
         if not self._api_key:
             raise AuthError(f"environment variable {config.api_key_env!r} is not set")
+        import requests
+
         self._session = session if session is not None else requests.Session()
         self._sleep = sleep
         self._limiter = RateLimiter(config.requests_per_minute, clock, sleep)
@@ -210,6 +212,8 @@ class HttpProvider:
         tags: Mapping[str, str] | None = None,
     ) -> Completion:
         del tags  # only the mock keys on them; transcripts are written upstream
+        import requests
+
         body = {
             "model": self.config.model_name,
             "messages": [{"role": "system", "content": system}]
@@ -249,7 +253,7 @@ class HttpProvider:
             except requests.RequestException as exc:
                 # Anything else on the wire or in the body read: connection,
                 # chunked encoding, content decoding, redirects.
-                error = ProviderError(
+                error = TransportError(
                     f"transient transport failures exhausted retries: {type(exc).__name__}: {exc}"
                 )
         # max_retries >= 0, so at least one attempt set `error`.

@@ -3,10 +3,14 @@ from __future__ import annotations
 import hashlib
 import json
 import math
+import os
 import random
 import re
+import subprocess
+import sys
 import time
 from dataclasses import dataclass
+from pathlib import Path
 
 import pytest
 
@@ -29,6 +33,7 @@ from semchain.errors import (
     ProviderError,
     ProviderTimeoutError,
     RateLimitExhaustedError,
+    TransportError,
 )
 from semchain.llm import _tagged_regions
 from helpers import bfs_connected_instances
@@ -390,7 +395,7 @@ class TestHttpProvider:
             provider = _provider([failure("cut")] * 3)
             with pytest.raises(ProviderError, match=f"transport failures .*{failure.__name__}") as caught:
                 provider.complete("s", [])
-            assert type(caught.value) is ProviderError
+            assert type(caught.value) is TransportError
             assert provider._session.posts == 3
 
     def test_transport_error_while_reading_the_body_is_retried(self):
@@ -468,6 +473,53 @@ class TestHttpProvider:
         with pytest.raises(ProviderError):
             provider.complete("s", [])
         assert provider._session.posts == 1
+
+
+class TestHttpStackIsImportedOnlyForHttp:
+    """Fresh interpreters, because this test process has imported requests already."""
+
+    SRC = Path(__file__).resolve().parent.parent / "src"
+
+    def _loads_requests(self, code: str, tmp_path: Path) -> bool:
+        env = {**os.environ, "PYTHONPATH": str(self.SRC)}
+        code += "\nprint('requests' in sys.modules)"
+        done = subprocess.run(
+            [sys.executable, "-c", code], cwd=tmp_path, env=env, capture_output=True, text=True, timeout=60
+        )
+        assert done.returncode == 0, done.stderr
+        return done.stdout.splitlines()[-1] == "True"
+
+    def test_importing_the_package_leaves_requests_unloaded(self, tmp_path):
+        assert not self._loads_requests("import sys, semchain", tmp_path)
+
+    def test_an_offline_experiment_leaves_requests_unloaded(self, toy_dir, tmp_path):
+        config = {
+            "sources_dir": str(toy_dir / "sources"),
+            "ontology_path": str(toy_dir / "ontology.json"),
+            "gold_dir": str(toy_dir / "gold"),
+            "out_dir": str(tmp_path / "out"),
+            "provider": {"kind": "mock"},
+        }
+        (tmp_path / "config.json").write_text(json.dumps(config), encoding="utf-8")
+        code = (
+            "import runpy, sys\n"
+            "sys.argv = ['semchain', 'experiment', '--config', 'config.json']\n"
+            "try:\n"
+            "    runpy.run_module('semchain', run_name='__main__', alter_sys=True)\n"
+            "except SystemExit as done:\n"
+            "    assert done.code == 0, done.code"
+        )
+        assert not self._loads_requests(code, tmp_path)
+        assert (tmp_path / "out" / "report.csv").is_file()
+
+    def test_building_an_http_provider_loads_requests(self, tmp_path):
+        code = (
+            "import sys\n"
+            "from semchain import HttpProvider, ProviderConfig\n"
+            "assert 'requests' not in sys.modules\n"
+            "HttpProvider(ProviderConfig(base_url='http://127.0.0.1:9/v1', model_name='m', api_key_env='SEMCHAIN_TEST_KEY'))"
+        )
+        assert self._loads_requests(code, tmp_path)
 
 
 def test_chat_exchange_validates_alternation():

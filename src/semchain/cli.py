@@ -13,7 +13,7 @@ from . import ontology as onto_mod
 from . import semantic_model as sm
 from .chain import ChainConfig, run_chain
 from .errors import SemchainError, decode_text, encode_text
-from .ingest import DEFAULT_RECORD_CAP, SourceFormat, parse_source, serialize_table
+from .ingest import DEFAULT_RECORD_CAP, SourceFormat, parse_source, serialize_table, source_bytes
 from .llm import MockProvider, MockScript
 
 EXIT_OK = 0
@@ -110,7 +110,8 @@ def _emit(text: str, out: Path | None) -> None:
 def _cmd_ingest(args) -> int:
     source_id = args.source_id or args.source.stem
     fmt = SourceFormat(args.format) if args.format else SourceFormat.from_suffix(args.source.suffix)
-    table = parse_source(args.source.read_bytes(), fmt, source_id, args.cap)
+    with open(args.source, "rb") as handle:
+        table = parse_source(source_bytes(handle), fmt, source_id, args.cap)
     cap = args.cap if args.cap is not None else max(len(table.records), 1)
     _emit(serialize_table(table, cap).text, args.out)
     return EXIT_OK

@@ -22,7 +22,7 @@ from . import prompting
 from . import semantic_model as sm
 from .chain import ChainConfig, ChainResult, run_chain
 from .errors import SemchainError, ShotTooLargeError, decode_json, decode_text, encode_text, require_types
-from .ingest import DEFAULT_RECORD_CAP, SourceFormat, Table, parse_source, serialize_table
+from .ingest import DEFAULT_RECORD_CAP, SourceFormat, Table, parse_source, serialize_table, source_bytes
 from .llm import CorruptionSpec, HttpProvider, MockProvider, MockScript, Provider, ProviderConfig
 
 # Fisher-Yates shuffle driven by a 64-bit LCG (Knuth MMIX constants) so the
@@ -187,9 +187,11 @@ def _lcg_shuffle(items: Sequence[str], seed: int) -> list[str]:
 
 def read_table(path: str | Path, record_cap: int | None = None) -> Table:
     """Parse one source file, its stem the source id, keeping its first
-    `record_cap` records (all when None)."""
+    `record_cap` records (all when None). The file is read a slice at a time
+    and closed on return."""
     path = Path(path)
-    return parse_source(path.read_bytes(), SourceFormat.from_suffix(path.suffix), path.stem, record_cap)
+    with open(path, "rb") as handle:
+        return parse_source(source_bytes(handle), SourceFormat.from_suffix(path.suffix), path.stem, record_cap)
 
 
 def load_tables(
@@ -350,8 +352,11 @@ def run_ablation(config: ExperimentConfig, provider: Provider | None = None) -> 
     The two chained configurations send the same requests, so they share one
     run: each test source is modelled once and scored both unpruned and
     pruned, failures included. Each returned row also says whether its
-    configuration had failed sources.
+    configuration had failed sources. An HTTP provider is built once, so one
+    rate limiter paces every arm; a mock is built per arm from its golds.
     """
+    if provider is None and isinstance(config.provider, Mapping) and config.provider.get("kind") == "http":
+        provider = make_provider(config.provider, {})
     variants = [("single-prompt", False, False), ("chaining", True, False), ("chaining+prune", True, True)]
     out = Path(config.out_dir)
     configs = []

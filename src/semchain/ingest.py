@@ -7,12 +7,14 @@ import csv
 import gc
 import io
 import json
+import os
+import stat
 import sys
 import xml.etree.ElementTree as ET
 from dataclasses import dataclass
 from enum import Enum
 from operator import attrgetter
-from typing import Callable, Iterable, Iterator, Mapping, NoReturn
+from typing import BinaryIO, Callable, Iterable, Iterator, Mapping, NoReturn
 
 from .errors import EmptySourceError, FormatError, SemchainError, decode_json, decode_text
 
@@ -66,7 +68,7 @@ class SerializedTable:
 
 
 def parse_source(
-    raw_bytes: bytes, format: SourceFormat, source_id: str, record_cap: int | None = None
+    raw_bytes: bytes | FileBytes, format: SourceFormat, source_id: str, record_cap: int | None = None
 ) -> Table:
     """Parse raw bytes in the declared format into a Table.
 
@@ -74,13 +76,15 @@ def parse_source(
     flattened to dotted attribute names, and every cell is kept as a string.
     One pass checks every record and discovers every attribute, but only the
     first `record_cap` records are kept (all of them when it is None). The
-    bytes are decoded in slices of `_SLICE` bytes, and each parser reads the
-    slices as a stream of records, so memory is the bytes plus one slice, the
-    kept records and one key per distinct record shape, never the whole text
-    or the parsed document. A bad byte anywhere in the file is the error
-    raised, ahead of any parse error. Past the cap, an XML or JSON record is
-    flattened only when its tag or key tree is new, and the cyclic garbage
-    collector is paused while the source is parsed.
+    bytes are only ever sliced, `_SLICE` bytes at a time, and each parser
+    reads the decoded slices as a stream of records, so memory is one slice,
+    the kept records and one key per distinct record shape, never the whole
+    text or the parsed document. Given a `FileBytes` view (see `source_bytes`),
+    no more of the file than one slice is held; given bytes, the caller holds
+    them. A bad byte anywhere in the file is the error raised, ahead of any
+    parse error. Past the cap, an XML or JSON record is flattened only when
+    its tag or key tree is new, and the cyclic garbage collector is paused
+    while the source is parsed.
     """
     if record_cap is not None and record_cap < 1:
         raise ValueError("record_cap must be >= 1")
@@ -119,15 +123,41 @@ def serialize_table(table: Table, record_cap: int = DEFAULT_RECORD_CAP) -> Seria
     return SerializedTable(json.dumps(rows, indent=2, ensure_ascii=False), record_cap)
 
 
+# --- files ------------------------------------------------------------------
+
+def source_bytes(handle: BinaryIO) -> bytes | FileBytes:
+    """What `parse_source` reads of a source file open for reading: a regular
+    file as a `FileBytes` view of it, anything else (a pipe) as its bytes."""
+    info = os.fstat(handle.fileno())
+    return FileBytes(handle, info.st_size) if stat.S_ISREG(info.st_mode) else handle.read()
+
+
+class FileBytes:
+    """The bytes of an open file, read on demand: `len()` is the file's size
+    and a slice `[start:stop]` reads just that range from the handle."""
+
+    def __init__(self, handle: BinaryIO, size: int) -> None:
+        self._handle, self._size = handle, size
+
+    def __len__(self) -> int:
+        return self._size
+
+    def __getitem__(self, key: slice) -> bytes:
+        start, stop, _ = key.indices(self._size)
+        self._handle.seek(start)
+        return self._handle.read(max(stop - start, 0))
+
+
 # --- slices -----------------------------------------------------------------
 
 # Bytes decoded at a time.
 _SLICE = 1 << 16
 
 
-def _decoded_slices(raw: bytes, source_id: str) -> Iterator[str]:
+def _decoded_slices(raw: bytes | FileBytes, source_id: str) -> Iterator[str]:
     """The text of `raw` as UTF-8 without a leading BOM, decoded `_SLICE`
-    bytes at a time; a bad byte raises `decode_text`'s error for the file."""
+    bytes at a time; a bad byte raises `decode_text`'s error for the file,
+    which reads it whole."""
     decoder = codecs.getincrementaldecoder("utf-8-sig")()
     try:
         for start in range(0, len(raw), _SLICE):
@@ -135,7 +165,7 @@ def _decoded_slices(raw: bytes, source_id: str) -> Iterator[str]:
             if piece:
                 yield piece
     except UnicodeDecodeError:
-        decode_text(raw, source_id)
+        decode_text(raw[:], source_id)
         raise
 
 
@@ -255,7 +285,7 @@ class _JsonWindow:
     twice that, so a value many slices long is still decoded in linear time.
     """
 
-    def __init__(self, pieces: Iterator[str], raw: bytes, source_id: str) -> None:
+    def __init__(self, pieces: Iterator[str], raw: bytes | FileBytes, source_id: str) -> None:
         self.text = ""
         self.source_id = source_id
         self._pieces, self._raw = pieces, raw
@@ -299,7 +329,8 @@ class _JsonWindow:
             i = 0
 
     def whole(self) -> str:
-        return decode_text(self._raw, self.source_id)
+        # Only the failure paths read the whole source.
+        return decode_text(self._raw[:], self.source_id)
 
     def fail(self) -> NoReturn:
         # The scan rejects only text that json.loads rejects too; its error

@@ -196,6 +196,39 @@ def test_ingest_cap_option(toy_dir, capout):
     assert len(json.loads(capout().out)) == 2
 
 
+def test_ingest_reads_the_file_a_slice_at_a_time_with_its_options(monkeypatch, tmp_path, capout):
+    from semchain import cli, ingest
+
+    records = [{"id": i, "title": f"T{i} " + "lorem ipsum " * 10} for i in range(2000)]
+    source = tmp_path / "data.txt"
+    source.write_text(json.dumps(records), encoding="utf-8")
+    parse_source = cli.parse_source
+    views = []
+
+    def spy(raw_bytes, fmt, source_id, record_cap=None):
+        views.append((type(raw_bytes), len(raw_bytes)))
+        return parse_source(raw_bytes, fmt, source_id, record_cap)
+
+    monkeypatch.setattr(cli, "parse_source", spy)
+    assert main(["ingest", str(source), "--format", "json", "--source-id", "titles", "--cap", "2"]) == 0
+    assert views == [(ingest.FileBytes, source.stat().st_size)]
+    assert source.stat().st_size > 2 * ingest._SLICE
+    table = parse_source(source.read_bytes(), semchain.SourceFormat.JSON, "titles", 2)
+    assert capout().out == semchain.serialize_table(table, 2).text + "\n"
+
+
+@pytest.mark.skipif(not os.path.isdir("/dev/fd"), reason="needs /dev/fd")
+def test_ingest_reads_a_source_that_is_no_regular_file_whole(capout):
+    read, write = os.pipe()
+    try:
+        os.write(write, b"a,b\n1,2\n")
+        os.close(write)
+        assert main(["ingest", f"/dev/fd/{read}", "--format", "csv"]) == 0
+    finally:
+        os.close(read)
+    assert json.loads(capout().out) == [{"a": "1", "b": "2"}]
+
+
 def test_ingest_of_a_bad_csv_prints_an_error_and_exits_one(tmp_path, capout):
     source = tmp_path / "huge.csv"
     source.write_text("a,b\n" + "x" * 140_000 + ",1\n", encoding="utf-8")

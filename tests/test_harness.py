@@ -715,6 +715,23 @@ class TestSetupReadsOnlyTheSplit:
         assert json.loads((config.out_dir / "split.json").read_text())["source_ids"] == sorted(paths)
         assert sorted(parsed) == sorted(read) == sorted(split.known + split.test)
 
+    def test_each_source_is_parsed_from_a_view_of_its_file(self, monkeypatch, toy_config, toy_dir):
+        from semchain import ingest
+
+        parse_source = harness.parse_source
+        sizes = {}
+
+        def spy(raw_bytes, fmt, source_id, record_cap=None):
+            assert isinstance(raw_bytes, ingest.FileBytes)
+            sizes[source_id] = len(raw_bytes)
+            return parse_source(raw_bytes, fmt, source_id, record_cap)
+
+        monkeypatch.setattr(harness, "parse_source", spy)
+        experiment = harness.prepare_experiment(toy_config())
+        assert sizes.keys() == experiment.tables.keys()
+        for sid, size in sizes.items():
+            assert size == next((toy_dir / "sources").glob(f"{sid}.*")).stat().st_size
+
     def test_a_bad_gold_file_of_a_test_source_stops_the_run(self, toy_config, toy_dir, tmp_path):
         dataset, _, split, _ = self._dataset(toy_dir, tmp_path)
         bad = split.test[0]

@@ -19,6 +19,7 @@ from semchain import (
     Table,
     ingest,
     parse_source,
+    read_table,
     serialize_table,
 )
 from semchain.errors import EmptySourceError, FormatError
@@ -709,3 +710,87 @@ def test_csv_whose_lines_end_in_a_lone_cr_is_read_a_slice_at_a_time():
         tracemalloc.stop()
     assert table == parse_source(raw.replace(b"\r", b"\n"), SourceFormat.CSV, "wide", 3)
     assert peak < len(raw) / 4
+
+
+@pytest.mark.parametrize("fmt", list(SourceFormat))
+def test_reading_a_file_holds_one_slice_of_it_not_its_bytes(fmt, tmp_path):
+    path = tmp_path / f"wide.{fmt.value}"
+    path.write_bytes(_nested_source(fmt, 20_000))
+    size = path.stat().st_size
+    tracemalloc.start()
+    try:
+        table = read_table(path, 3)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert table.attributes == ("id", "who.name", "who.born", "title")
+    assert len(table.records) == 3
+    assert peak < size / 4
+
+
+
+def _boundary_source(fmt: SourceFormat, rng: random.Random) -> bytes:
+    """A source of several slices with a 2-, 3- or 4-byte character across
+    each slice boundary, at a seeded offset: the title before the boundary is
+    lengthened with letters up to the character's first byte."""
+    raw = bytearray(_nested_source(fmt, rng.randint(1200, 1500)))
+    boundary = ingest._SLICE
+    while boundary < len(raw):
+        char = rng.choice("é€𝄞").encode()
+        start = boundary - rng.randrange(1, len(char))
+        title = raw.rindex(b"lorem", 0, start)
+        raw[title:title] = b"x" * (start - title)
+        raw[start:start] = char
+        boundary += ingest._SLICE
+    assert _straddled(raw, ingest._SLICE) == len(raw) // ingest._SLICE >= 2
+    return bytes(raw)
+
+
+# Past the first slice, a CSV row gains a cell, a JSON comma is dropped and an
+# XML closing tag is misspelt: the text replaced, its replacement, and the
+# start of the error message.
+_SYNTAX_ERRORS = {
+    SourceFormat.CSV: (b"\n", b",x\n", "s: line "),
+    SourceFormat.XML: (b"</row>", b"</rox>", "s: bad XML: mismatched tag"),
+    SourceFormat.JSON: (b",", b"", "s: not JSON: Expecting"),
+}
+
+
+def _file_inputs(fmt: SourceFormat, rng: random.Random) -> dict[str, tuple[bytes, object]]:
+    """Files on whose slice boundaries a read from the file could differ from
+    a parse of its bytes, each with what it parses to: Table, the start of
+    its error message, or None for an error of any message."""
+    wide = _nested_source(fmt, rng.randint(1000, 1500))
+    # Spaces before the last byte, which closes the document, fill one slice.
+    body = _nested_source(fmt, 40).rstrip()
+    exact = body[:-1] + b" " * (ingest._SLICE - len(body)) + body[-1:]
+    last = rng.randrange((len(wide) - 1) // ingest._SLICE * ingest._SLICE, len(wide))
+    mark, fix, syntax_error = _SYNTAX_ERRORS[fmt]
+    error_at = wide.index(mark, rng.randrange(ingest._SLICE, len(wide) - 1000))
+    assert len(exact) == ingest._SLICE and len(wide) > 2 * ingest._SLICE
+    return {
+        "a character across each boundary": (_boundary_source(fmt, rng), Table),
+        "exactly one slice": (exact, Table),
+        "one slice and a byte": (b" " + exact, Table),
+        "empty": (b"", None),
+        "bom": (codecs.BOM_UTF8 + wide, Table),
+        "bom only": (codecs.BOM_UTF8, None),
+        "bad byte in the last slice": (wide[:last] + b"\xff" + wide[last + 1:], "s: not UTF-8: "),
+        "syntax error past the first slice": (wide[:error_at] + fix + wide[error_at + len(mark):], syntax_error),
+    }
+
+
+@pytest.mark.parametrize("fmt", list(SourceFormat))
+def test_reading_a_file_equals_parsing_its_bytes(fmt, tmp_path):
+    rng = random.Random(f"file-{fmt.value}")
+    path = tmp_path / f"s.{fmt.value}"
+    for name, (raw, parsed) in _file_inputs(fmt, rng).items():
+        path.write_bytes(raw)
+        for cap in (1, None):
+            expected = _outcome(raw, fmt, cap)
+            found = _outcome(path, fmt, cap, lambda path, fmt, sid, cap: read_table(path, cap))
+            assert found == expected, (name, cap)
+            if parsed is Table:
+                assert isinstance(expected, Table), (name, expected)
+            else:
+                assert isinstance(expected, tuple) and expected[1].startswith(parsed or ""), (name, expected)

@@ -18,18 +18,23 @@ import requests
 
 import semchain as sc
 from semchain.errors import ProviderError, ProviderTimeoutError, TransportError
-from semchain.llm import STAGE_CHAIN1, STAGE_CHAIN2
+from semchain.llm import STAGE_CHAIN1, STAGE_CHAIN2, STAGE_COMBINED
 
-# A reply that comes only after the client's timeout, and a body cut short of
-# its Content-Length; any other fault is a (status, headers) pair.
+# A reply that comes only after the client's timeout, a body cut short of its
+# Content-Length, a 200 whose body is not JSON, and a reply whose content ends
+# in a lone surrogate (JSON's escape \ud800); any other fault is a (status,
+# headers) pair.
 SLOW = "slow"
 SHORT = "short"
+NOT_JSON = "not json"
+SURROGATE = "surrogate"
 
 
 class _Endpoint(http.server.ThreadingHTTPServer):
     """Serves a MockScript as chat completions, one fault per request while
     any are queued. A request is routed by the serialized table in its first
-    user turn and by its number of turns."""
+    user turn and by its number of turns; a first turn that is the combined
+    prompt asks for the single-prompt answer."""
 
     daemon_threads = True
 
@@ -62,6 +67,9 @@ class _Endpoint(http.server.ThreadingHTTPServer):
         turns = messages[1:]
         (source_id,) = [sid for sid, text in self.tables.items() if text in turns[0]["content"]]
         stage = {1: STAGE_CHAIN1, 3: STAGE_CHAIN2}[len(turns)]
+        combined = sc.build_combined_prompt(sc.SerializedTable(self.tables[source_id], 0))
+        if turns[0]["content"] == combined:
+            stage = STAGE_COMBINED
         return self.script.responses[(source_id, stage)]
 
 
@@ -74,11 +82,14 @@ class _Handler(http.server.BaseHTTPRequestHandler):
         if fault == SLOW:
             self.server.released.wait()
             return
-        if fault not in (None, SHORT):
+        if fault == NOT_JSON:
+            self._send(200, b"<html>busy</html>", {"Content-Type": "text/html"})
+            return
+        if fault not in (None, SHORT, SURROGATE):
             status, headers = fault
             self._send(status, b"busy", headers)
             return
-        content = self.server.reply(request["messages"])
+        content = self.server.reply(request["messages"]) + ("\ud800" if fault == SURROGATE else "")
         body = json.dumps({"choices": [{"message": {"role": "assistant", "content": content}}]}).encode()
         self._send(200, body, {"Content-Type": "application/json"}, cut=fault == SHORT)
 
@@ -190,3 +201,65 @@ def test_a_body_shorter_than_its_content_length_is_a_transport_error(endpoint, s
     completion = _ask(_provider(server, session), toy_tables)
     assert completion.text == server.script.responses[("artists", STAGE_CHAIN1)]
     assert server.posts == 2
+
+
+def test_a_200_whose_body_is_not_json_fails_only_its_source(endpoint, session, toy_config, toy_tables):
+    server = endpoint(NOT_JSON)
+    with pytest.raises(ProviderError, match="^malformed provider response: "):
+        _ask(_provider(server, session), toy_tables)
+    assert server.posts == 1
+
+    server = endpoint(NOT_JSON)
+    report = sc.run_experiment(toy_config(), _provider(server, session))
+    failed = {row.source_id for row in report.rows if row.error}
+    assert len(failed) == 1
+    assert all(row.error.startswith("ProviderError: malformed provider response: ") for row in report.rows if row.error)
+    assert {row.source_id for row in report.rows} - failed
+    # The failed source asked once and never reached chain2.
+    assert server.posts == 2 * len({row.source_id for row in report.rows}) - 1
+
+
+def test_a_reply_holding_a_lone_surrogate_is_written_as_its_escape(endpoint, session, toy_config):
+    server = endpoint(SURROGATE)
+    config = toy_config(max_workers=1)
+    report = sc.run_experiment(config, _provider(server, session))
+    assert not report.has_failures()
+    transcripts = {path.parent.name: path.read_bytes() for path in config.out_dir.glob("sources/*/transcript.jsonl")}
+    ((sid, raw),) = [(sid, raw) for sid, raw in transcripts.items() if b"\\ud800" in raw]
+    replies = [json.loads(line)["turns"][-1]["content"] for line in raw.decode("utf-8").splitlines()]
+    assert replies[0].endswith("\ud800")
+    assert replies[0][:-1] == server.script.responses[(sid, STAGE_CHAIN1)]
+
+
+def test_a_live_ablation_builds_one_provider_and_one_rate_limiter(endpoint, monkeypatch, toy_config, tmp_path):
+    from semchain import harness, llm
+
+    # The provider run_ablation builds opens its own session, which no proxy
+    # variable may reroute.
+    for name in ("HTTP_PROXY", "http_proxy", "ALL_PROXY", "all_proxy"):
+        monkeypatch.delenv(name, raising=False)
+    built = {"providers": [], "limiters": 0}
+
+    class Provider(sc.HttpProvider):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            built["providers"].append(self)
+
+    class Limiter(sc.RateLimiter):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            built["limiters"] += 1
+
+    monkeypatch.setattr(harness, "HttpProvider", Provider)
+    monkeypatch.setattr(llm, "RateLimiter", Limiter)
+    server = endpoint()
+    spec = {"kind": "http", "base_url": server.base_url, "model_name": "toy", "api_key_env": "SEMCHAIN_TEST_KEY"}
+    try:
+        over_http = sc.run_ablation(toy_config(out_dir=tmp_path / "http", provider=spec))
+    finally:
+        for provider in built["providers"]:
+            provider._session.close()
+    over_mock = sc.run_ablation(toy_config(out_dir=tmp_path / "mock"))
+    assert (len(built["providers"]), built["limiters"]) == (1, 1)
+    assert over_http == over_mock
+    assert (tmp_path / "http" / "ablation.csv").read_bytes() == (tmp_path / "mock" / "ablation.csv").read_bytes()

@@ -187,7 +187,7 @@ def _lcg_shuffle(items: Sequence[str], seed: int) -> list[str]:
 
 def read_table(path: str | Path, record_cap: int | None = None) -> Table:
     """Parse one source file, its stem the source id, keeping its first
-    `record_cap` records (all when None). The file is read a slice at a time
+    `record_cap` records (all when None). The file is read as one text stream
     and closed on return."""
     path = Path(path)
     with open(path, "rb") as handle:

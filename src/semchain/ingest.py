@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import codecs
 import csv
 import gc
 import io
@@ -75,42 +74,51 @@ def parse_source(
     Absent values become the `<Empty>` sentinel, nested XML/JSON fields are
     flattened to dotted attribute names, and every cell is kept as a string.
     One pass checks every record and discovers every attribute, but only the
-    first `record_cap` records are kept (all of them when it is None). The
-    bytes are only ever sliced, `_SLICE` bytes at a time, and each parser
-    reads the decoded slices as a stream of records, so memory is one slice,
-    the kept records and one key per distinct record shape, never the whole
-    text or the parsed document. Given a `FileBytes` view (see `source_bytes`),
-    no more of the file than one slice is held; given bytes, the caller holds
-    them. A bad byte anywhere in the file is the error raised, ahead of any
-    parse error. Past the cap, an XML or JSON record is flattened only when
-    its tag or key tree is new, and the cyclic garbage collector is paused
-    while the source is parsed.
+    first `record_cap` records are kept (all of them when it is None). Each
+    parser reads one `io.TextIOWrapper` over the source, UTF-8 without a
+    leading BOM: CSV a line at a time, XML and JSON `_SLICE` characters at a
+    time. So memory is a slice, the kept records and one key per distinct
+    record shape, never the whole text or the parsed document. A `FileBytes`
+    view (see `source_bytes`) is read from the start of its file and its
+    handle is left open; bytes are held by the caller. A bad byte anywhere in
+    the file is the error raised, ahead of any parse error. Past the cap, an
+    XML or JSON record is flattened only when its tag or key tree is new, and
+    the cyclic garbage collector is paused while the source is parsed.
     """
     if record_cap is not None and record_cap < 1:
         raise ValueError("record_cap must be >= 1")
     cap = sys.maxsize if record_cap is None else record_cap
     fmt = SourceFormat(format)
-    pieces = _decoded_slices(raw_bytes, source_id)
+    stream = raw_bytes.handle if isinstance(raw_bytes, FileBytes) else io.BytesIO(raw_bytes)
+    stream.seek(0)
+    text = io.TextIOWrapper(stream, "utf-8-sig", newline="")
     # The parsers build only acyclic containers (elements, dicts, lists), which
     # reference counting frees; left running, the cyclic collector rescans the
     # records being built many times over while adding nothing.
     enabled = gc.isenabled()
     gc.disable()
     try:
-        if fmt is SourceFormat.CSV:
-            return _parse_csv(pieces, source_id, cap)
-        if fmt is SourceFormat.XML:
-            return _parse_xml(pieces, source_id, cap)
-        return _parse_json(_JsonWindow(pieces, raw_bytes, source_id), cap)
-    except (SemchainError, RecursionError) as exc:
-        # A bad byte later in the file beats the parse error.
-        for _ in pieces:
-            pass
-        # Flattening nested XML/JSON fields recurses once per level.
-        if isinstance(exc, RecursionError):
-            raise FormatError(f"{source_id}: nested too deeply to parse") from None
+        try:
+            if fmt is SourceFormat.CSV:
+                return _parse_csv(text, source_id, cap)
+            if fmt is SourceFormat.XML:
+                return _parse_xml(text, source_id, cap)
+            return _parse_json(_JsonWindow(text, source_id), cap)
+        except (SemchainError, RecursionError) as exc:
+            # A bad byte later in the file beats the parse error.
+            while text.read(_SLICE):
+                pass
+            # Flattening nested XML/JSON fields recurses once per level.
+            if isinstance(exc, RecursionError):
+                raise FormatError(f"{source_id}: nested too deeply to parse") from None
+            raise
+    except UnicodeDecodeError:
+        # The error for the file, with its position in the whole file.
+        stream.seek(0)
+        decode_text(stream.read(), source_id)
         raise
     finally:
+        text.detach()  # the caller's handle stays open
         if enabled:
             gc.enable()
 
@@ -132,47 +140,25 @@ def source_bytes(handle: BinaryIO) -> bytes | FileBytes:
     return FileBytes(handle, info.st_size) if stat.S_ISREG(info.st_mode) else handle.read()
 
 
+@dataclass(frozen=True)
 class FileBytes:
-    """The bytes of an open file, read on demand: `len()` is the file's size
-    and a slice `[start:stop]` reads just that range from the handle."""
+    """An open regular file that `parse_source` reads as its text stream,
+    from the start, without closing it; `len()` is the file's size."""
 
-    def __init__(self, handle: BinaryIO, size: int) -> None:
-        self._handle, self._size = handle, size
+    handle: BinaryIO
+    size: int
 
     def __len__(self) -> int:
-        return self._size
-
-    def __getitem__(self, key: slice) -> bytes:
-        start, stop, _ = key.indices(self._size)
-        self._handle.seek(start)
-        return self._handle.read(max(stop - start, 0))
+        return self.size
 
 
-# --- slices -----------------------------------------------------------------
-
-# Bytes decoded at a time.
-_SLICE = 1 << 16
-
-
-def _decoded_slices(raw: bytes | FileBytes, source_id: str) -> Iterator[str]:
-    """The text of `raw` as UTF-8 without a leading BOM, decoded `_SLICE`
-    bytes at a time; a bad byte raises `decode_text`'s error for the file,
-    which reads it whole."""
-    decoder = codecs.getincrementaldecoder("utf-8-sig")()
-    try:
-        for start in range(0, len(raw), _SLICE):
-            piece = decoder.decode(raw[start:start + _SLICE], start + _SLICE >= len(raw))
-            if piece:
-                yield piece
-    except UnicodeDecodeError:
-        decode_text(raw[:], source_id)
-        raise
+_SLICE = 1 << 16  # characters read at a time
 
 
 # --- CSV --------------------------------------------------------------------
 
-def _parse_csv(pieces: Iterator[str], source_id: str, cap: int) -> Table:
-    reader = csv.reader(_lines(pieces))
+def _parse_csv(text: io.TextIOWrapper, source_id: str, cap: int) -> Table:
+    reader = csv.reader(text)
     rows = _csv_rows(reader, source_id)
     header = next((row for row in rows if row), None)
     if header is None:
@@ -189,23 +175,6 @@ def _parse_csv(pieces: Iterator[str], source_id: str, cap: int) -> Table:
     return Table(source_id, SourceFormat.CSV, tuple(header), tuple(records))
 
 
-def _lines(pieces: Iterator[str]) -> Iterator[str]:
-    """The lines of the text, split as `io.StringIO(text, newline="")` splits
-    them. Each run of pieces is cut after its last line break: a "\n", or a
-    "\r" that no "\n" follows. A "\r" that ends a piece stays held, since
-    the next piece may open with its "\n"."""
-    held: list[str] = []
-    for piece in pieces:
-        cut = max(piece.rfind("\n"), piece.rfind("\r", 0, -1)) + 1
-        if not cut:
-            held.append(piece)
-            continue
-        held.append(piece[:cut])
-        yield from io.StringIO("".join(held), newline="")
-        held = [piece[cut:]]
-    yield from io.StringIO("".join(held), newline="")
-
-
 def _csv_rows(reader, source_id: str) -> Iterator[list[str]]:
     try:
         yield from reader
@@ -215,7 +184,7 @@ def _csv_rows(reader, source_id: str) -> Iterator[list[str]]:
 
 # --- XML --------------------------------------------------------------------
 
-def _parse_xml(pieces: Iterator[str], source_id: str, cap: int) -> Table:
+def _parse_xml(text: io.TextIOWrapper, source_id: str, cap: int) -> Table:
     builder = ET.TreeBuilder()
     # The parser builds the document root as the first child of this outer
     # element, where the root's completed children can be taken between slices.
@@ -231,7 +200,7 @@ def _parse_xml(pieces: Iterator[str], source_id: str, cap: int) -> Table:
             records.add(child)
 
     try:
-        for piece in pieces:
+        while piece := text.read(_SLICE):
             parser.feed(piece)
             if len(outer):
                 # Every child but the last is complete; it is checked and
@@ -281,28 +250,22 @@ class _JsonWindow:
     Each method takes an index into `text` at which to read and returns the
     index past what it read. It may first drop the text before the index it
     was given, so an index taken before the call is stale after it. A refill
-    keeps the text from that index and reads until the window holds at least
-    twice that, so a value many slices long is still decoded in linear time.
+    keeps the text from that index and reads as much again, at least a slice,
+    so a value many slices long is still decoded in linear time.
     """
 
-    def __init__(self, pieces: Iterator[str], raw: bytes | FileBytes, source_id: str) -> None:
+    def __init__(self, stream: io.TextIOWrapper, source_id: str) -> None:
         self.text = ""
         self.source_id = source_id
-        self._pieces, self._raw = pieces, raw
+        self._stream = stream
 
     def _more(self, i: int) -> bool:
         """Drop the text before `i` and read on; False at the end of the source."""
         kept = self.text[i:]
-        parts = [kept]
-        size = len(kept)
-        for piece in self._pieces:
-            parts.append(piece)
-            size += len(piece)
-            if size >= 2 * len(kept):
-                break
-        if len(parts) == 1:
+        more = self._stream.read(max(len(kept), _SLICE))
+        if not more:
             return False
-        self.text = "".join(parts)
+        self.text = kept + more
         return True
 
     def space(self, i: int) -> int:
@@ -329,8 +292,14 @@ class _JsonWindow:
             i = 0
 
     def whole(self) -> str:
-        # Only the failure paths read the whole source.
-        return decode_text(self._raw[:], self.source_id)
+        # Only the failure paths read the whole source; the bytes are put back
+        # where they were, so the stream can still read on for a bad byte.
+        raw = self._stream.buffer
+        at = raw.tell()
+        raw.seek(0)
+        whole = decode_text(raw.read(), self.source_id)
+        raw.seek(at)
+        return whole
 
     def fail(self) -> NoReturn:
         # The scan rejects only text that json.loads rejects too; its error

@@ -227,7 +227,7 @@ class HttpProvider:
         retry_after: int | None = None
         for attempt in range(self.config.max_retries + 1):
             if attempt:
-                self._sleep(min(2.0 ** (attempt - 1) if retry_after is None else retry_after, 30.0))
+                self._sleep(min(2.0 ** (attempt - 1) if retry_after is None else retry_after, _MAX_WAIT_SECONDS))
             retry_after = None
             self._limiter.acquire()
             try:
@@ -274,11 +274,21 @@ class HttpProvider:
         return Completion(text, _naive_usage(system, turns, text))
 
 
+# The longest wait between two attempts, whatever the server asks.
+_MAX_WAIT_SECONDS = 30
+
+
 def _delay_seconds(retry_after: str | None) -> int | None:
     """A `Retry-After` header's delay-seconds (RFC 9110 §10.2.3: one or more
-    ASCII digits), or None for an absent header, an HTTP-date or anything else."""
+    ASCII digits) up to `_MAX_WAIT_SECONDS`, or None for an absent header, an
+    HTTP-date or anything else."""
     value = (retry_after or "").strip()
-    return int(value) if value.isascii() and value.isdigit() else None
+    if not (value.isascii() and value.isdigit()):
+        return None
+    # Three significant digits are past the cap, so a longer string is never
+    # converted: int() refuses one of over 4,300 digits.
+    digits = value.lstrip("0")
+    return min(int(digits or "0"), _MAX_WAIT_SECONDS) if len(digits) < 3 else _MAX_WAIT_SECONDS
 
 
 # --- deterministic mock -------------------------------------------------------

@@ -794,3 +794,39 @@ def test_reading_a_file_equals_parsing_its_bytes(fmt, tmp_path):
                 assert isinstance(expected, Table), (name, expected)
             else:
                 assert isinstance(expected, tuple) and expected[1].startswith(parsed or ""), (name, expected)
+
+
+_OWNED_OUTCOMES = {
+    "table": (b"a,b\n1,2\n", Table),
+    "parse error": (b"a,,b\n1,2\n", "s: empty attribute name in CSV header"),
+    "late bad byte": (b"a,,b\n" + b" " * (2 * ingest._SLICE) + b"\xff\n", "s: not UTF-8: "),
+}
+
+
+@pytest.mark.parametrize("raw, outcome", _OWNED_OUTCOMES.values(), ids=_OWNED_OUTCOMES)
+def test_parse_leaves_the_callers_handle_open_and_readable(raw, outcome, tmp_path):
+    path = tmp_path / "s.csv"
+    path.write_bytes(raw)
+    with open(path, "rb") as handle:
+        view = ingest.source_bytes(handle)
+        assert isinstance(view, ingest.FileBytes)
+        try:
+            found = type(parse_source(view, SourceFormat.CSV, "s"))
+        except FormatError as exc:
+            found = str(exc)
+        # A text stream left over would close the handle when it is freed.
+        gc.collect()
+        assert not handle.closed
+        handle.seek(0)
+        assert handle.read() == raw
+    assert found is Table if outcome is Table else found.startswith(outcome)
+
+
+@pytest.mark.parametrize("lead", [b"", b" "], ids=["even", "odd"])
+def test_a_json_error_read_from_the_whole_text_still_reads_on_for_a_bad_byte(lead):
+    # json.loads reports the missing comma from the whole file; the text
+    # stream then reads on from where it stopped, which in one of the two
+    # alignments cuts a two-byte character.
+    raw = lead + b'[{"a": 1} {"a": "' + "é".encode() * 400_000 + b'"}]'
+    with pytest.raises(FormatError, match=r"^s: not JSON: Expecting ',' delimiter"):
+        parse_source(raw, SourceFormat.JSON, "s")

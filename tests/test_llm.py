@@ -455,8 +455,18 @@ class TestHttpProvider:
             ([(429, "Wed, 21 Oct 2015 07:28:00 GMT"), (503, "1.5")], [1.0, 2.0]),
             ([(429, "-1"), (503, "\N{SUPERSCRIPT TWO}")], [1.0, 2.0]),
             ([(500, "7"), (502, "7")], [1.0, 2.0]),
+            ([(429, "9" * 5000)], [30]),
         ],
-        ids=["present", "zero-then-absent", "capped", "absent", "date-or-fraction", "signed-or-not-ascii", "other-5xx"],
+        ids=[
+            "present",
+            "zero-then-absent",
+            "capped",
+            "absent",
+            "date-or-fraction",
+            "signed-or-not-ascii",
+            "other-5xx",
+            "over-4300-digits",
+        ],
     )
     def test_retry_after_delay_seconds_replace_the_backoff_step(self, failures, waits):
         slept = []

@@ -263,3 +263,49 @@ def test_a_live_ablation_builds_one_provider_and_one_rate_limiter(endpoint, monk
     assert (len(built["providers"]), built["limiters"]) == (1, 1)
     assert over_http == over_mock
     assert (tmp_path / "http" / "ablation.csv").read_bytes() == (tmp_path / "mock" / "ablation.csv").read_bytes()
+
+
+def test_a_live_ablation_never_exceeds_requests_per_minute(endpoint, monkeypatch, toy_config, tmp_path):
+    from semchain import harness
+
+    for name in ("HTTP_PROXY", "http_proxy", "ALL_PROXY", "all_proxy"):
+        monkeypatch.delenv(name, raising=False)
+    # A fake clock that only a wait moves on, and the time of every post.
+    now = [0.0]
+    posts = []
+    providers = []
+
+    def sleep(seconds: float) -> None:
+        now[0] += seconds
+
+    class Provider(sc.HttpProvider):
+        def __init__(self, config, session=None):
+            super().__init__(config, session, clock=lambda: now[0], sleep=sleep)
+            providers.append(self)
+            post = self._session.post
+
+            def stamped(*args, **kwargs):
+                posts.append(now[0])
+                return post(*args, **kwargs)
+
+            self._session.post = stamped
+
+    monkeypatch.setattr(harness, "HttpProvider", Provider)
+    server = endpoint()
+    spec = {
+        "kind": "http",
+        "base_url": server.base_url,
+        "model_name": "toy",
+        "api_key_env": "SEMCHAIN_TEST_KEY",
+        "requests_per_minute": 3,
+    }
+    # One worker, so each post follows its own grant before the clock moves on.
+    try:
+        rows = sc.run_ablation(toy_config(out_dir=tmp_path / "http", provider=spec, max_workers=1))
+    finally:
+        for provider in providers:
+            provider._session.close()
+    assert not any(row["has_failures"] for row in rows)
+    assert len(posts) == server.posts == 9
+    assert posts[-1] >= 120.0
+    assert max(sum(start <= t < start + 60.0 for t in posts) for start in posts) <= 3

@@ -341,7 +341,8 @@ def run_experiment(config: ExperimentConfig, provider: Provider | None = None) -
     Per-source failures, a test source that fails to parse included, become
     zero-score rows instead of aborting the run; only configuration problems
     and known sources that fail to parse raise. Each source's artifacts are
-    written as soon as its result arrives.
+    written once that source and every source before it in the split have
+    finished.
     """
     return _run_arms([config], provider)[0]
 
@@ -606,8 +607,6 @@ def _write_depth_buckets(report: ev.EvalReport, path: Path) -> None:
     rows = []
     for step in ev.STEPS:
         step_rows = [r for r in report.rows if r.step == step]
-        if not step_rows:
-            continue
         buckets = ev.bucket_by_depth(step_rows)
         counts: dict[int, int] = {}
         for row in step_rows:

@@ -269,7 +269,7 @@ class HttpProvider:
             raise ProviderError(f"malformed provider response: content is {type(text).__name__}, not text")
         usage = data.get("usage")
         counts = (usage.get("prompt_tokens"), usage.get("completion_tokens")) if isinstance(usage, dict) else ()
-        if counts and all(type(n) is int for n in counts):
+        if counts and all(type(n) is int and n >= 0 for n in counts):
             return Completion(text, TokenUsage(*counts))
         return Completion(text, _naive_usage(system, turns, text))
 

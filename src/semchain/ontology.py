@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from graphlib import CycleError, TopologicalSorter
 from typing import Mapping
 
 from .errors import DanglingNameError, InheritanceCycleError, SchemaError, decode_json, string_triples
@@ -43,17 +44,19 @@ class Ontology:
         object.__setattr__(self, "class_parent", dict(self.class_parent))
         object.__setattr__(self, "property_parent", dict(self.property_parent))
         object.__setattr__(self, "potential_triples", frozenset(self.potential_triples))
-        # Derived data, so neither compared nor shown: each name's lineage per kind.
-        lineages = {}
-        for kind, parents in (("class", self.class_parent), ("property", self.property_parent)):
+        kinds = {"class": self.class_parent, "property": self.property_parent}
+        for kind, parents in kinds.items():
             for name, parent in parents.items():
                 if parent is not None and parent not in parents:
                     raise DanglingNameError(f"{kind} {name!r} has undeclared parent {parent!r}")
-            lineages[kind] = _build_lineages(parents, kind)
-        object.__setattr__(self, "_lineages", lineages)
+            graph = {name: () if parent is None else (parent,) for name, parent in parents.items()}
+            try:
+                TopologicalSorter(graph).prepare()
+            except CycleError as exc:
+                raise InheritanceCycleError(f"{kind} inheritance cycles at {exc.args[1][0]!r}") from None
         for t in self.potential_triples:
             for kind, name in (("class", t.subject), ("class", t.object), ("property", t.property)):
-                if name not in lineages[kind]:
+                if name not in kinds[kind]:
                     raise DanglingNameError(f"potential triple references undeclared {kind} {name!r}")
 
 
@@ -74,8 +77,8 @@ def parse_ontology(text: str) -> Ontology:
 def serialize_ontology(onto: Ontology) -> str:
     """Deterministic ontology JSON; parse_ontology(serialize_ontology(o)) == o."""
     doc = {
-        NODES_KEY: _chain_strings(onto._lineages["class"]),
-        PROPERTIES_KEY: _chain_strings(onto._lineages["property"]),
+        NODES_KEY: _chain_strings(onto.class_parent),
+        PROPERTIES_KEY: _chain_strings(onto.property_parent),
         POTENTIAL_TRIPLES_KEY: [t.as_list() for t in sorted(onto.potential_triples)],
     }
     return json.dumps(doc, indent=2, ensure_ascii=False)
@@ -84,9 +87,9 @@ def serialize_ontology(onto: Ontology) -> str:
 def triple_is_legal(onto: Ontology, subject: str, property: str, object: str) -> bool:
     """True iff some declared potential triple generalizes (subject, property,
     object); a name the ontology does not declare makes the triple illegal."""
-    classes = onto._lineages["class"]
-    subjects, objects = classes.get(subject, ()), classes.get(object, ())
-    properties = onto._lineages["property"].get(property, ())
+    subjects = _lineage(onto.class_parent, subject)
+    objects = _lineage(onto.class_parent, object)
+    properties = _lineage(onto.property_parent, property)
     return any(
         t.subject in subjects and t.object in objects and t.property in properties
         for t in onto.potential_triples
@@ -125,25 +128,15 @@ def _pin(pinned: dict[str, str | None], child: str, parent: str | None, kind: st
     pinned[child] = parent
 
 
-def _build_lineages(parents: Mapping[str, str | None], kind: str) -> dict[str, tuple[str, ...]]:
-    """Each name's lineage: the name, then its ancestors, nearest first. A walk
-    stops at the first ancestor whose lineage is built, so each parent link is
-    followed once; a name met twice on one walk closes a cycle."""
-    lineages: dict[str, tuple[str, ...]] = {}
-    for start in parents:
-        path, on_path, current = [], set(), start
-        while current is not None and current not in lineages:
-            if current in on_path:
-                raise InheritanceCycleError(f"{kind} inheritance cycles at {current!r}")
-            path.append(current)
-            on_path.add(current)
-            current = parents[current]
-        lineage = () if current is None else lineages[current]
-        for name in reversed(path):
-            lineage = (name, *lineage)
-            lineages[name] = lineage
-    return lineages
+def _lineage(parents: Mapping[str, str | None], name: str) -> list[str]:
+    """The name, then its ancestors, nearest first; empty for an undeclared name."""
+    lineage = []
+    current = name if name in parents else None
+    while current is not None:
+        lineage.append(current)
+        current = parents[current]
+    return lineage
 
 
-def _chain_strings(lineages: Mapping[str, tuple[str, ...]]) -> list[str]:
-    return [f" {CHAIN_SEPARATOR} ".join(lineages[name]).strip() for name in sorted(lineages)]
+def _chain_strings(parents: Mapping[str, str | None]) -> list[str]:
+    return [f" {CHAIN_SEPARATOR} ".join(_lineage(parents, name)).strip() for name in sorted(parents)]

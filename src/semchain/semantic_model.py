@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from graphlib import CycleError, TopologicalSorter
 from typing import Iterable
 
 from .errors import CyclicModelError, InstanceParseError, SchemaError, decode_json, string_triples
@@ -213,26 +214,16 @@ def depth(model: SemanticModel) -> int:
     successors: dict[ClassInstance, set[ClassInstance]] = {i: set() for i in model.instances()}
     for link in model.internal_link_triples:
         successors[link.subject].add(link.object)
-    indegree = dict.fromkeys(successors, 0)
-    for targets in successors.values():
-        for succ in targets:
-            indegree[succ] += 1
-    # Kahn's algorithm; `order` grows while it is walked.
-    order = [node for node, count in indegree.items() if count == 0]
-    for node in order:
-        for succ in successors[node]:
-            indegree[succ] -= 1
-            if indegree[succ] == 0:
-                order.append(succ)
-    if len(order) != len(successors):
-        raise CyclicModelError("internal links contain a directed cycle")
-
     # Longest attribute-ending path from each node; 0 means there is none.
+    # A node's successors are its predecessors in the sort, so they come first.
     annotated = {t.subject for t in model.semantic_triples}
     longest: dict[ClassInstance, int] = {}
-    for node in reversed(order):
-        below = [longest[succ] for succ in successors[node] if longest[succ]]
-        longest[node] = 1 + max(below) if below else int(node in annotated)
+    try:
+        for node in TopologicalSorter(successors).static_order():
+            below = [longest[succ] for succ in successors[node] if longest[succ]]
+            longest[node] = 1 + max(below) if below else int(node in annotated)
+    except CycleError:
+        raise CyclicModelError("internal links contain a directed cycle") from None
     return max(longest.values(), default=0)
 
 

@@ -247,6 +247,13 @@ def test_ingest_of_a_deeply_nested_source_prints_an_error_and_exits_one(tmp_path
     assert "Traceback" not in err
 
 
+def test_ingest_of_an_unknown_suffix_without_format_exits_one(tmp_path, capout):
+    source = tmp_path / "data.txt"
+    source.write_text("a,b\n1,2\n", encoding="utf-8")
+    assert main(["ingest", str(source)]) == 1
+    assert capout().err == "error: no parser for file suffix '.txt'\n"
+
+
 def test_serialize_ontology_round_trip(toy_dir, tmp_path, capout):
     out_path = tmp_path / "onto.json"
     code = main(["serialize-ontology", str(toy_dir / "ontology.json"), "--out", str(out_path)])
@@ -262,6 +269,17 @@ def test_build_prompt_emits_sections(toy_dir, tmp_path, capout):
     assert code == 0
     assert "<Ontology>" in out and "<Examples>" in out
     assert out.count("<Table>") == 1
+
+
+def test_build_prompt_random_state_option_overrides_the_config(toy_dir, tmp_path, capout):
+    config = _write_config(toy_dir, tmp_path)
+    assert main(["build-prompt", "--config", str(config), "--random-state", "7"]) == 0
+    overridden = capout().out
+    assert main(["build-prompt", "--config", str(config)]) == 0
+    assert capout().out != overridden
+    config = _write_config(toy_dir, tmp_path, random_state=7)
+    assert main(["build-prompt", "--config", str(config)]) == 0
+    assert capout().out == overridden
 
 
 def test_run_single_source(toy_dir, tmp_path, capout):
@@ -471,6 +489,25 @@ def test_bad_json_input_prints_one_error_and_exits_one(command, text, toy_dir, t
         ("provider", {"provider": {"kind": "mock", "corruptoin": {"drop_triples": 1}}}),
         ("provider corruption", {"provider": {"kind": "mock", "corruption": []}}),
         ("provider corruption", {"provider": {"kind": "mock", "corruption": 0}}),
+        ("shot must be a setting name or a positive integer", {"shot": True}),
+        ("explicit shot count must be >= 1", {"shot": 0}),
+        ("test_size must be in (0, 1)", {"test_size": 1}),
+        ("test_size 0.01 leaves no usable split for 6 sources", {"test_size": 0.01}),
+        ("record_cap must be >= 1", {"record_cap": 0}),
+        ("max_workers must be >= 1", {"max_workers": 0}),
+        ("aggregate_mode must be macro or micro, got 'mean'", {"aggregate_mode": "mean"}),
+        (
+            "max_retries must be >= 0",
+            {"provider": {"kind": "http", "base_url": "http://x", "model_name": "m", "max_retries": -1}},
+        ),
+        (
+            "requests_per_minute must be >= 1",
+            {"provider": {"kind": "http", "base_url": "http://x", "model_name": "m", "requests_per_minute": 0}},
+        ),
+        ("drop_triples must be >= 0", {"provider": {"kind": "mock", "corruption": {"drop_triples": -1}}}),
+        ("unknown stages ['chain3']", {"provider": {"kind": "mock", "corruption": {"stages": ["chain3"]}}}),
+        # The fixtures directory holds no templates.
+        ("template 'system.txt' not found", {"templates_dir": str(Path(__file__).parent / "fixtures")}),
     ],
     ids=[
         "chain-key", "chain-not-object", "provider-key", "provider-not-object",
@@ -481,6 +518,9 @@ def test_bad_json_input_prints_one_error_and_exits_one(command, text, toy_dir, t
         "http-base-url-no-scheme", "http-base-url-ftp", "http-base-url-no-host",
         "http-key-unset", "http-max-tokens-zero", "http-timeout-nan", "http-temperature-infinity",
         "mock-key", "corruption-empty-list", "corruption-zero",
+        "shot-true", "shot-zero", "test-size-one", "test-size-no-split", "record-cap-zero",
+        "max-workers-zero", "aggregate-mode-mean", "http-max-retries-negative", "http-rpm-zero",
+        "corruption-drop-negative", "corruption-stage-unknown", "templates-no-system",
     ],
 )
 def test_bad_config_mappings_exit_one(what, extra, toy_dir, tmp_path, capout):

@@ -38,6 +38,8 @@ from helpers import DEEPLY_NESTED, mutated_reply
 
 IDS_28 = [f"s{i:02d}" for i in range(28)]
 TOY_CORRUPTION = {"drop_triples": 1, "inject_instances": 2, "rename_properties": 1, "seed": 7}
+CLEAN_TOY_DIGEST = "d1c23afaf06f80dbef63df79360658ceffbfd1b785d82c21131e9d0113077e3d"
+CORRUPTED_TOY_DIGEST = "92222b7fd4cb5f0f2536fe2af502b192fbc3a514ef2455df6149f0d755847679"
 
 
 def _without_latency(path: Path):
@@ -205,18 +207,23 @@ class TestExperiment:
         assert (sources / "artists" / "error.txt").read_text(encoding="utf-8") == error + "\n"
 
     @pytest.mark.parametrize(
-        "corruption, expected",
+        "corruption, max_workers, expected",
         [
-            (None, "d1c23afaf06f80dbef63df79360658ceffbfd1b785d82c21131e9d0113077e3d"),
-            (TOY_CORRUPTION, "92222b7fd4cb5f0f2536fe2af502b192fbc3a514ef2455df6149f0d755847679"),
+            (None, 4, CLEAN_TOY_DIGEST),
+            (TOY_CORRUPTION, 4, CORRUPTED_TOY_DIGEST),
+            (None, 1, CLEAN_TOY_DIGEST),
+            (TOY_CORRUPTION, 1, CORRUPTED_TOY_DIGEST),
+            (None, 3, CLEAN_TOY_DIGEST),
+            (TOY_CORRUPTION, 3, CORRUPTED_TOY_DIGEST),
         ],
-        ids=["clean", "corrupted"],
+        ids=["clean", "corrupted", "clean-1-worker", "corrupted-1-worker", "clean-3-workers", "corrupted-3-workers"],
     )
-    def test_toy_artifacts_match_their_pinned_digest(self, corruption, expected, toy_config, tmp_path):
-        # Pins every file an experiment and an ablation write, bar wall-clock fields.
+    def test_toy_artifacts_match_their_pinned_digest(self, corruption, max_workers, expected, toy_config, tmp_path):
+        # Pins every file an experiment and an ablation write, bar wall-clock
+        # fields, whatever the worker count.
         provider = {"kind": "mock", "corruption": corruption} if corruption else {"kind": "mock"}
-        run_experiment(toy_config(out_dir=tmp_path / "pinned" / "experiment", provider=provider))
-        run_ablation(toy_config(out_dir=tmp_path / "pinned" / "ablation", provider=provider))
+        for run, out_dir in ((run_experiment, "experiment"), (run_ablation, "ablation")):
+            run(toy_config(out_dir=tmp_path / "pinned" / out_dir, provider=provider, max_workers=max_workers))
         assert _artifact_digest(tmp_path / "pinned") == expected
 
     def test_failures_become_zero_rows(self, toy_config, toy_golds):

@@ -126,6 +126,11 @@ def test_parse_errors():
         parse_source(b"", SourceFormat.CSV, "t")
     with pytest.raises(EmptySourceError):
         parse_source(b"<doc></doc>", SourceFormat.XML, "t")
+    for scalar in (b"5", b'"x"', b"null"):
+        with pytest.raises(FormatError, match="^t: JSON document is neither an array nor an object$"):
+            parse_source(scalar, SourceFormat.JSON, "t")
+    with pytest.raises(FormatError, match=r"^t: not JSON: Expecting value: line 1 column 1 \(char 0\)$"):
+        parse_source(b"nul", SourceFormat.JSON, "t")
 
 
 def test_serialize_caps_records():

@@ -437,6 +437,7 @@ class TestHttpProvider:
             {"prompt_tokens": 10, "completion_tokens": 2.5},
             {"prompt_tokens": 10, "completion_tokens": True},
             {"prompt_tokens": 10},
+            {"prompt_tokens": -5, "completion_tokens": 5},
         ],
     )
     def test_usage_without_integer_counts_falls_back_to_the_whitespace_count(self, usage):

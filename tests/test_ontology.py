@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import json
 import random
+import tracemalloc
 
 import pytest
 
@@ -132,9 +133,15 @@ def test_triple_is_legal_matches_an_oracle_with_property_hierarchies():
 def test_a_deep_class_chain_parses():
     depth = 3000
     nodes = ["C0"] + [f"C{i} -> C{i - 1}" for i in range(1, depth)]
-    onto = parse_ontology(
-        json.dumps({"Nodes": nodes, "Properties": ["p"], "Potential triples": [["C1", "p", "C1"]]})
-    )
+    text = json.dumps({"Nodes": nodes, "Properties": ["p"], "Potential triples": [["C1", "p", "C1"]]})
+    tracemalloc.start()
+    try:
+        onto = parse_ontology(text)
+        held, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # The ontology keeps its parent maps, not a lineage per name (depth² names).
+    assert held < 4_000_000
     chains = json.loads(serialize_ontology(onto))["Nodes"]
     assert max(chains, key=len) == " -> ".join(f"C{i}" for i in reversed(range(depth)))
     assert triple_is_legal(onto, f"C{depth - 1}", "p", f"C{depth - 1}")
@@ -189,7 +196,7 @@ def test_parse_errors():
         parse_ontology(
             json.dumps({"Nodes": ["A -> B", "A -> C", "B", "C"], "Properties": [], "Potential triples": []})
         )
-    with pytest.raises(InheritanceCycleError):
+    with pytest.raises(InheritanceCycleError, match="class inheritance cycles at '(A|B)'"):
         parse_ontology(
             json.dumps({"Nodes": ["A -> B", "B -> A"], "Properties": [], "Potential triples": []})
         )
@@ -204,3 +211,11 @@ def test_parse_errors():
     # An empty name can never be declared, so it is an undeclared one.
     with pytest.raises(DanglingNameError):
         parse_ontology(json.dumps({"Nodes": ["A"], "Properties": ["p"], "Potential triples": [["A", "", "A"]]}))
+    with pytest.raises(SchemaError, match="class section must be an array of strings"):
+        parse_ontology(json.dumps({"Nodes": "A", "Properties": [], "Potential triples": []}))
+    with pytest.raises(SchemaError, match="property entry 5 is not a string"):
+        parse_ontology(json.dumps({"Nodes": ["A"], "Properties": [5], "Potential triples": []}))
+    with pytest.raises(SchemaError, match="class entry 'A -> ' contains an empty name"):
+        parse_ontology(json.dumps({"Nodes": ["A -> "], "Properties": [], "Potential triples": []}))
+    with pytest.raises(DanglingNameError, match="class 'A' has undeclared parent 'B'"):
+        Ontology({"A": "B"}, {}, frozenset())

@@ -90,6 +90,10 @@ class ExperimentConfig:
             value = getattr(self, name)
             if value is not None:
                 setattr(self, name, Path(value))
+            elif name not in ("templates_dir", "rules_dir"):
+                raise TypeError(f"{name} must be a path, got None")
+        if not isinstance(self.chain, ChainConfig):
+            self.chain = _from_mapping(ChainConfig, self.chain, "config chain")
         require_types(self, ("random_state", "record_cap", "max_workers"), int)
         require_types(self, ("test_size",), (int, float))
         if not 0 < self.test_size < 1:
@@ -105,8 +109,6 @@ class ExperimentConfig:
     def from_file(cls, path: str | Path) -> "ExperimentConfig":
         path = Path(path)
         raw = decode_json(decode_text(path.read_bytes(), path.name), "config")
-        if isinstance(raw, dict) and "chain" in raw:
-            raw = {**raw, "chain": _from_mapping(ChainConfig, raw["chain"], "config chain")}
         config = _from_mapping(cls, raw, "config")
         # Relative paths in the file resolve against the file's directory.
         for name in _PATH_FIELDS:

@@ -13,7 +13,7 @@ import xml.etree.ElementTree as ET
 from dataclasses import dataclass
 from enum import Enum
 from operator import attrgetter
-from typing import BinaryIO, Callable, Iterable, Iterator, Mapping, NoReturn
+from typing import BinaryIO, Callable, Iterable, Iterator, Mapping
 
 from .errors import EmptySourceError, FormatError, SemchainError, decode_json, decode_text
 
@@ -80,10 +80,12 @@ def parse_source(
     time. So memory is a slice, the kept records and one key per distinct
     record shape, never the whole text or the parsed document. A `FileBytes`
     view (see `source_bytes`) is read from the start of its file and its
-    handle is left open; bytes are held by the caller. A bad byte anywhere in
-    the file is the error raised, ahead of any parse error. Past the cap, an
-    XML or JSON record is flattened only when its tag or key tree is new, and
-    the cyclic garbage collector is paused while the source is parsed.
+    handle is left open; bytes are held by the caller. A failed parse first
+    reads the rest of the file, so a bad byte anywhere in it is the error
+    raised, ahead of any parse error. A JSON syntax error then reads the whole
+    file once more, for json.loads' message. Past the cap, an XML or JSON
+    record is flattened only when its tag or key tree is new, and the cyclic
+    garbage collector is paused while the source is parsed.
     """
     if record_cap is not None and record_cap < 1:
         raise ValueError("record_cap must be >= 1")
@@ -103,14 +105,19 @@ def parse_source(
                 return _parse_csv(text, source_id, cap)
             if fmt is SourceFormat.XML:
                 return _parse_xml(text, source_id, cap)
-            return _parse_json(_JsonWindow(text, source_id), cap)
-        except (SemchainError, RecursionError) as exc:
+            return _parse_json(_JsonCursor(text), source_id, cap)
+        except (SemchainError, RecursionError, _NotJson) as exc:
             # A bad byte later in the file beats the parse error.
             while text.read(_SLICE):
                 pass
             # Flattening nested XML/JSON fields recurses once per level.
             if isinstance(exc, RecursionError):
                 raise FormatError(f"{source_id}: nested too deeply to parse") from None
+            if isinstance(exc, _NotJson):
+                # json.loads' error, read from the whole text.
+                text.seek(0)
+                decode_json(text.read(), source_id)
+                raise FormatError(f"{source_id}: {str(exc) or 'not JSON'}") from None
             raise
     except UnicodeDecodeError:
         # The error for the file, with its position in the whole file.
@@ -244,109 +251,122 @@ _DECODER = json.JSONDecoder()
 _SPACE = json.decoder.WHITESPACE.match
 
 
-class _JsonWindow:
-    """The decoded text of a JSON source, held from the entry being scanned on.
+class _NotJson(Exception):
+    """Where the JSON scan stops. The scan follows json.loads' grammar, so
+    json.loads' error for the whole text is the one raised; the message here
+    is raised only for text that json.loads accepts."""
 
-    Each method takes an index into `text` at which to read and returns the
-    index past what it read. It may first drop the text before the index it
-    was given, so an index taken before the call is stale after it. A refill
-    keeps the text from that index and reads as much again, at least a slice,
-    so a value many slices long is still decoded in linear time.
+
+class _JsonCursor:
+    """A position `pos` in `text`, the decoded text of a JSON source from the
+    entry being scanned on. Only the methods move `pos`, and only `peek` and
+    `take` step past whitespace. A refill keeps the text from `pos` and reads
+    as much again, at least a slice, so a value many slices long is still
+    decoded in linear time.
     """
 
-    def __init__(self, stream: io.TextIOWrapper, source_id: str) -> None:
+    def __init__(self, stream: io.TextIOWrapper) -> None:
         self.text = ""
-        self.source_id = source_id
+        self.pos = 0
         self._stream = stream
 
-    def _more(self, i: int) -> bool:
-        """Drop the text before `i` and read on; False at the end of the source."""
-        kept = self.text[i:]
+    def _more(self) -> bool:
+        """Drop the text before `pos` and read on; False at the end of the source."""
+        kept = self.text[self.pos:]
         more = self._stream.read(max(len(kept), _SLICE))
         if not more:
             return False
-        self.text = kept + more
+        self.text, self.pos = kept + more, 0
         return True
 
-    def space(self, i: int) -> int:
-        """The index past the whitespace at `i`: a character of `text`, unless
-        the source ends there."""
-        i = _SPACE(self.text, i).end()
-        while i == len(self.text) and self._more(i):
-            i = _SPACE(self.text).end()
-        return i
+    def peek(self) -> str:
+        """Step past the whitespace at `pos`; the next character, or "" at
+        the end of the source."""
+        self.pos = _SPACE(self.text, self.pos).end()
+        while self.pos == len(self.text) and self._more():
+            self.pos = _SPACE(self.text).end()
+        return self.text[self.pos:self.pos + 1]
 
-    def value(self, i: int) -> tuple:
-        """The JSON value at `i`."""
+    def take(self) -> str:
+        """Peek, then step past the character."""
+        char = self.peek()
+        self.pos += len(char)
+        return char
+
+    def value(self):
+        """Decode the JSON value at `pos` and step past it."""
         while True:
             try:
-                value, end = _DECODER.raw_decode(self.text, i)
+                value, end = _DECODER.raw_decode(self.text, self.pos)
             except ValueError:
-                if not self._more(i):
-                    self.fail()
-                i = 0
+                if not self._more():
+                    raise _NotJson from None
                 continue
             # A number may go on past the window: "1.5e+" decodes as 1.5.
-            if len(self.text) - end > 3 or not self._more(i):
-                return value, end
-            i = 0
-
-    def whole(self) -> str:
-        # Only the failure paths read the whole source; the bytes are put back
-        # where they were, so the stream can still read on for a bad byte.
-        raw = self._stream.buffer
-        at = raw.tell()
-        raw.seek(0)
-        whole = decode_text(raw.read(), self.source_id)
-        raw.seek(at)
-        return whole
-
-    def fail(self) -> NoReturn:
-        # The scan rejects only text that json.loads rejects too; its error
-        # message, not the scan's, is the one raised.
-        decode_json(self.whole(), self.source_id)
-        raise FormatError(f"{self.source_id}: not JSON")
+            if len(self.text) - end > 3 or not self._more():
+                self.pos = end
+                return value
 
 
-def _parse_json(window: _JsonWindow, cap: int) -> Table:
+def _entries(cursor: _JsonCursor, close: str) -> Iterator[str]:
+    """Step into the array or object opening at the cursor and yield the
+    first character of each entry, at its start; end past the closing `close`."""
+    cursor.take()
+    char = cursor.peek()
+    if char == close:
+        cursor.take()
+        return
+    while True:
+        yield char
+        char = cursor.take()
+        if char == close:
+            return
+        if char != ",":
+            raise _NotJson
+        char = cursor.peek()
+
+
+def _parse_json(cursor: _JsonCursor, source_id: str, cap: int) -> Table:
     # The records are decoded one at a time: the items of a top-level array,
     # or of each array a top-level object holds. Any other value is decoded
-    # whole. The scan follows json.loads' grammar, and text it rejects goes
-    # to json.loads, whose error is raised.
-    source_id = window.source_id
+    # whole.
+    def array() -> _Records | None:
+        """The records of the array at the cursor, or None once an item is no object."""
+        found: _Records | None = _Records(cap, source_id, _json_shape, _flatten_json)
+        for _ in _entries(cursor, "]"):
+            item = cursor.value()
+            if not isinstance(item, dict):
+                found = None
+            elif found is not None:
+                found.add(item)
+        return found
 
-    def records() -> _Records:
-        return _Records(cap, source_id, _json_shape, _flatten_json)
-
-    start = window.space(0)
-    if window.text.startswith("[", start):
-        found, end = _json_array(window, start, records())
-        _json_end(window, end)
+    start = cursor.peek()
+    if start == "[":
+        found = array()
+        if cursor.peek():
+            raise _NotJson
         if found is None:
             raise FormatError(f"{source_id}: top-level JSON array holds non-object entries")
         return found.table(SourceFormat.JSON)
-    if not window.text.startswith("{", start):
-        decode_json(window.whole(), source_id)
-        raise FormatError(f"{source_id}: JSON document is neither an array nor an object")
+    if start != "{":
+        raise _NotJson("JSON document is neither an array nor an object")
     # Each member's value: an array's records, or None when the value is no
     # array of objects. A repeated key keeps its last value, as in json.loads.
     members: dict[str, _Records | None] = {}
-
-    def member(i: int) -> int:
-        if not window.text.startswith('"', i):
-            window.fail()
-        key, i = window.value(i)
-        i = window.space(i)
-        if not window.text.startswith(":", i):
-            window.fail()
-        i = window.space(i + 1)
-        if window.text.startswith("[", i):
-            members[key], i = _json_array(window, i, records())
+    for char in _entries(cursor, "}"):
+        if char != '"':
+            raise _NotJson
+        key = cursor.value()
+        if cursor.take() != ":":
+            raise _NotJson
+        if cursor.peek() == "[":
+            members[key] = array()
         else:
-            members[key], i = None, window.value(i)[1]
-        return i
-
-    _json_end(window, _json_entries(window, start, "}", member))
+            cursor.value()
+            members[key] = None
+    if cursor.peek():
+        raise _NotJson
     candidates = [found for found in members.values() if found is not None]
     # An empty array beside a non-empty one holds no records; it only
     # counts when every candidate is empty.
@@ -356,46 +376,6 @@ def _parse_json(window: _JsonWindow, cap: int) -> Table:
             f"{source_id}: expected exactly one array-of-records field, found {len(candidates)}"
         )
     return candidates[0].table(SourceFormat.JSON)
-
-
-def _json_array(window: _JsonWindow, start: int, records: _Records) -> tuple[_Records | None, int]:
-    """Hand each item of the array opening at `start` to `records`; return
-    them, or None once an item is no object, and the index past the array."""
-    found: _Records | None = records
-
-    def item(i: int) -> int:
-        nonlocal found
-        value, i = window.value(i)
-        if found is not None:
-            if isinstance(value, dict):
-                found.add(value)
-            else:
-                found = None
-        return i
-
-    end = _json_entries(window, start, "]", item)
-    return found, end
-
-
-def _json_entries(window: _JsonWindow, start: int, close: str, entry: Callable[[int], int]) -> int:
-    """Scan the comma-separated entries of the array or object opening at
-    `start`, each with `entry` (its start index to its end index); return
-    the index past the closing `close`."""
-    i = window.space(start + 1)
-    if window.text.startswith(close, i):
-        return i + 1
-    while True:
-        i = window.space(entry(i))
-        if window.text.startswith(close, i):
-            return i + 1
-        if not window.text.startswith(",", i):
-            window.fail()
-        i = window.space(i + 1)
-
-
-def _json_end(window: _JsonWindow, end: int) -> None:
-    if window.space(end) != len(window.text):
-        window.fail()
 
 
 def _json_shape(item: dict) -> tuple:

@@ -508,6 +508,10 @@ def test_bad_json_input_prints_one_error_and_exits_one(command, text, toy_dir, t
         ("unknown stages ['chain3']", {"provider": {"kind": "mock", "corruption": {"stages": ["chain3"]}}}),
         # The fixtures directory holds no templates.
         ("template 'system.txt' not found", {"templates_dir": str(Path(__file__).parent / "fixtures")}),
+        ("config: sources_dir must be a path, got None", {"sources_dir": None}),
+        ("config: ontology_path must be a path, got None", {"ontology_path": None}),
+        ("config: gold_dir must be a path, got None", {"gold_dir": None}),
+        ("config: out_dir must be a path, got None", {"out_dir": None}),
     ],
     ids=[
         "chain-key", "chain-not-object", "provider-key", "provider-not-object",
@@ -521,6 +525,7 @@ def test_bad_json_input_prints_one_error_and_exits_one(command, text, toy_dir, t
         "shot-true", "shot-zero", "test-size-one", "test-size-no-split", "record-cap-zero",
         "max-workers-zero", "aggregate-mode-mean", "http-max-retries-negative", "http-rpm-zero",
         "corruption-drop-negative", "corruption-stage-unknown", "templates-no-system",
+        "sources-dir-null", "ontology-path-null", "gold-dir-null", "out-dir-null",
     ],
 )
 def test_bad_config_mappings_exit_one(what, extra, toy_dir, tmp_path, capout):

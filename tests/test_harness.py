@@ -569,6 +569,15 @@ class TestExperiment:
                 else:
                     assert _without_latency(a / rel) == _without_latency(b / rel), (name, rel)
 
+    def test_a_chain_mapping_runs_as_the_equal_chain_config(self, toy_config, tmp_path):
+        flags = {"chaining_enabled": False, "strict_ontology_validation": True}
+        mapped = toy_config(out_dir=tmp_path / "mapping", chain=flags)
+        built = toy_config(out_dir=tmp_path / "built", chain=ChainConfig(**flags))
+        assert mapped.chain == built.chain
+        run_experiment(mapped)
+        run_experiment(built)
+        assert _artifact_digest(mapped.out_dir) == _artifact_digest(built.out_dir)
+
     def test_config_from_file_with_relative_paths(self, toy_dir, tmp_path):
         config_path = tmp_path / "config.json"
         config_path.write_text(

@@ -5,6 +5,7 @@ import csv
 import gc
 import io
 import json
+import math
 import random
 import string
 import sys
@@ -835,3 +836,51 @@ def test_a_json_error_read_from_the_whole_text_still_reads_on_for_a_bad_byte(lea
     raw = lead + b'[{"a": 1} {"a": "' + "é".encode() * 400_000 + b'"}]'
     with pytest.raises(FormatError, match=r"^s: not JSON: Expecting ',' delimiter"):
         parse_source(raw, SourceFormat.JSON, "s")
+
+
+# Compact documents whose strings hold no structural character, so each of
+# [ ] { } , : in their text is one.
+_COMPACT_JSON = [
+    json.dumps([{"a": {"b": 1, "c": [1, "x"]}, "d": "é"}, {"a": {"b": 2, "c": []}, "d": None}], separators=(",", ":")),
+    json.dumps({"meta": {"k": [1, 2]}, "records": [{"a": {"b": 1}}, {"a": {"b": 2.5}}], "n": 1}, separators=(",", ":")),
+]
+
+
+def test_whitespace_or_a_wrong_character_at_each_structural_position_parses_as_the_whole_document():
+    # A run of more than a slice makes the scan refill inside the whitespace.
+    spaces = [" ", "\t\n", "\r\n", " " * (ingest._SLICE + 1)]
+    for text in _COMPACT_JSON:
+        structural = [i for i, char in enumerate(text) if char in "[]{},:"]
+        sides = sorted({0, len(text), *structural, *(i + 1 for i in structural)})
+        spaced = [text[:at] + space + text[at:] for at in sides for space in spaces]
+        wrong = [text[:i] + ";" + text[i + 1:] for i in structural]
+        for variant in spaced + wrong:
+            raw = variant.encode()
+            for cap in (1, None):
+                expected = _outcome(raw, SourceFormat.JSON, cap, whole_document_parse)
+                assert _outcome(raw, SourceFormat.JSON, cap) == expected, (cap, variant[:200])
+                if variant in spaced:
+                    assert isinstance(expected, Table)
+                else:
+                    assert expected[1].startswith("s: not JSON: ")
+
+
+@pytest.mark.parametrize("n", [64, 256, 1024])
+def test_a_value_many_slices_long_is_decoded_in_logarithmically_many_attempts(n, monkeypatch):
+    # Each refill at least doubles the window; one that read on a slice at a
+    # time would decode the long value about n times.
+    monkeypatch.setattr(ingest, "_SLICE", 64)
+    raw_decode = json.JSONDecoder.raw_decode
+    calls = 0
+
+    def counted(self, text, idx=0):
+        nonlocal calls
+        calls += 1
+        return raw_decode(self, text, idx)
+
+    monkeypatch.setattr(json.JSONDecoder, "raw_decode", counted)
+    for document in ([{"a": "x" * 64 * n}, {"a": "y"}], {"meta": {"k": "z" * 64 * n}, "rows": [{"a": "y"}]}):
+        calls = 0
+        table = parse_source(json.dumps(document).encode(), SourceFormat.JSON, "s")
+        assert table.records[-1] == {"a": "y"}
+        assert calls <= 2 * math.log2(n) + 8, (document.__class__.__name__, calls)

@@ -203,17 +203,16 @@ def load_tables(
 
     A source that fails to parse maps to its error instead of raising.
     """
-    return _read_tables(_listed_files(sources_dir, SOURCE_SUFFIXES, "source files"), record_cap)
+    paths = _listed_files(sources_dir, SOURCE_SUFFIXES, "source files")
+    return {sid: _table_or_error(path, record_cap) for sid, path in paths.items()}
 
 
-def _read_tables(paths: Mapping[str, Path], record_cap: int | None) -> dict[str, Table | SemchainError]:
-    tables: dict[str, Table | SemchainError] = {}
-    for sid, path in paths.items():
-        try:
-            tables[sid] = read_table(path, record_cap=record_cap)
-        except SemchainError as exc:
-            tables[sid] = exc
-    return tables
+def _table_or_error(path: Path, record_cap: int | None, errors=SemchainError) -> Table | Exception:
+    """`read_table(path, record_cap)`, or the error of type `errors` it raised."""
+    try:
+        return read_table(path, record_cap=record_cap)
+    except errors as exc:
+        return exc
 
 
 def _listed_files(directory: str | Path, suffixes: tuple[str, ...], what: str) -> dict[str, Path]:
@@ -286,11 +285,14 @@ def make_provider(spec: Mapping, golds: Mapping[str, sm.SemanticModel]) -> Provi
 class Experiment:
     """Everything an experiment reads before its first provider call.
 
-    `source_ids` lists every source file; `tables` and `golds` hold the
-    split's known and test sources only.
+    `source_ids` lists every source file. `tables` holds the known sources'
+    tables and `test_files` the test sources' paths, in split order; a run
+    reads each test source as it hands that source to its pool. `golds`
+    holds the split's known and test sources only.
     """
 
-    tables: Mapping[str, Table | SemchainError]
+    tables: Mapping[str, Table]
+    test_files: Mapping[str, Path]
     golds: Mapping[str, sm.SemanticModel]
     ontology: onto_mod.Ontology
     split: Split
@@ -301,12 +303,13 @@ class Experiment:
 
 
 def prepare_experiment(config: ExperimentConfig) -> Experiment:
-    """List the sources and golds, split the sources, read the split's files
-    and the ontology, and assemble the system prompt from the known sources.
+    """List the sources and golds, split the sources, read the split's golds,
+    the known sources and the ontology, and assemble the system prompt from
+    the known sources.
 
     Every source needs a gold file, but files outside the split are never
-    read. A split source that fails to parse maps to its error, which is
-    raised if the source is a known one.
+    read, and test sources are left to the run. A known source that fails to
+    parse, or cannot be read, raises.
     """
     source_paths = _listed_files(config.sources_dir, SOURCE_SUFFIXES, "source files")
     gold_paths = _listed_files(config.gold_dir, GOLD_SUFFIXES, "gold models")
@@ -318,12 +321,8 @@ def prepare_experiment(config: ExperimentConfig) -> Experiment:
     rules = prompting.load_rules(config.rules_dir)
     source_ids = tuple(sorted(source_paths))
     split = split_dataset(source_ids, config.random_state, config.test_size, config.shot)
-    used = split.known + split.test
-    tables = _read_tables({sid: source_paths[sid] for sid in used}, config.record_cap)
-    golds = {sid: read_model_file(gold_paths[sid]) for sid in used}
-    for sid in split.known:
-        if isinstance(tables[sid], SemchainError):
-            raise tables[sid]
+    golds = {sid: read_model_file(gold_paths[sid]) for sid in split.known + split.test}
+    tables = {sid: read_table(source_paths[sid], record_cap=config.record_cap) for sid in split.known}
     examples = [
         (
             serialize_table(tables[sid], config.record_cap),
@@ -334,17 +333,20 @@ def prepare_experiment(config: ExperimentConfig) -> Experiment:
     ]
     onto_json = onto_mod.serialize_ontology(ontology)
     system_prompt = prompting.build_system_prompt(onto_json, examples, rules, templates)
-    return Experiment(tables, golds, ontology, split, templates, rules, system_prompt, source_ids)
+    test_files = {sid: source_paths[sid] for sid in split.test}
+    return Experiment(tables, test_files, golds, ontology, split, templates, rules, system_prompt, source_ids)
 
 
 def run_experiment(config: ExperimentConfig, provider: Provider | None = None) -> ev.EvalReport:
     """Run the full pipeline over the test split and persist every artifact.
 
-    Per-source failures, a test source that fails to parse included, become
-    zero-score rows instead of aborting the run; only configuration problems
-    and known sources that fail to parse raise. Each source's artifacts are
-    written once that source and every source before it in the split have
-    finished.
+    Per-source failures, a test source that fails to parse or cannot be read
+    included, become zero-score rows instead of aborting the run; only
+    configuration problems and known sources that fail to parse or cannot be
+    read raise. Each test source is read, in the calling thread, just before
+    it is handed to the pool, so the first request waits only for the known
+    sources and the first test source. Each source's artifacts are written
+    once that source and every source before it in the split have finished.
     """
     return _run_arms([config], provider)[0]
 
@@ -410,12 +412,17 @@ def _run_arms(arms: Sequence[ExperimentConfig], provider: Provider | None) -> li
     unpruned = dataclasses.replace(config, chain=dataclasses.replace(config.chain, pruning_enabled=False))
     prunes = [arm.chain.pruning_enabled for arm in arms]
 
-    def work(sid: str):
-        return _run_one_source(sid, experiment, unpruned, provider, prunes)
+    def work(sid: str, table: Table | Exception):
+        return _run_one_source(sid, table, experiment, unpruned, provider, prunes)
 
+    # Executor.map submits every job before it returns, pulling each source's
+    # table from this generator, so each test source is parsed in this thread
+    # while the jobs before it run. An unreadable file fails only its source.
+    unreadable = (SemchainError, OSError)
+    tables = (_table_or_error(path, config.record_cap, unreadable) for path in experiment.test_files.values())
     rows: list[list[ev.ScoreRow]] = [[] for _ in arms]
     with concurrent.futures.ThreadPoolExecutor(max_workers=config.max_workers) as pool:
-        for sid, scored in zip(split.test, pool.map(work, split.test)):
+        for sid, scored in zip(split.test, pool.map(work, split.test, tables)):
             for arm, arm_rows, (source_rows, outcome) in zip(arms, rows, scored):
                 arm_rows.extend(source_rows)
                 write_source_artifacts(arm.out_dir / "sources" / sid, sid, outcome)
@@ -434,19 +441,24 @@ _NO_PREDICTION = sm.SemanticModel(frozenset(), frozenset())
 
 
 def _run_one_source(
-    sid: str, experiment: Experiment, config: ExperimentConfig, provider: Provider, prunes: Sequence[bool]
+    sid: str,
+    table: Table | Exception,
+    experiment: Experiment,
+    config: ExperimentConfig,
+    provider: Provider,
+    prunes: Sequence[bool],
 ) -> list[tuple[list[ev.ScoreRow], ChainResult | str]]:
-    """Model one test source once and score it for each entry of `prunes`,
-    pruned where the entry is true; a failure is scored as an empty
-    prediction and returned as its error text in place of the result."""
+    """Model one test source once, from its table or the error reading it
+    raised, and score it for each entry of `prunes`, pruned where the entry
+    is true; a failure is scored as an empty prediction and returned as its
+    error text in place of the result."""
     started = time.perf_counter()
     gold = experiment.golds[sid]
-    table = experiment.tables[sid]
     # A gold model whose depth is undefined (cyclic) fails only this source.
     gold_depth = 0
     try:
         gold_depth = sm.depth(gold)
-        if isinstance(table, SemchainError):
+        if isinstance(table, Exception):
             raise table
         result = run_chain(
             experiment.system_prompt,
@@ -459,7 +471,9 @@ def _run_one_source(
         )
         outcomes = [result.pruned(table.attributes) if prune else result for prune in prunes]
         tokens, error = result.total_tokens(), ""
-    except SemchainError as exc:
+    except (SemchainError, OSError) as exc:
+        if isinstance(exc, OSError) and exc is not table:
+            raise  # a provider's OSError is not this source's unreadable file
         error = f"{type(exc).__name__}: {exc}"
         outcomes, tokens = [error] * len(prunes), 0
     wall_ms = (time.perf_counter() - started) * 1000.0

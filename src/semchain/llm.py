@@ -224,7 +224,7 @@ class HttpProvider:
         url = self.config.base_url.rstrip("/") + "/chat/completions"
         headers = {"Authorization": f"Bearer {self._api_key}"}
         # Seconds the server asked to wait before the next attempt, if it did.
-        retry_after: int | None = None
+        retry_after: float | None = None
         for attempt in range(self.config.max_retries + 1):
             if attempt:
                 self._sleep(min(2.0 ** (attempt - 1) if retry_after is None else retry_after, _MAX_WAIT_SECONDS))
@@ -278,13 +278,24 @@ class HttpProvider:
 _MAX_WAIT_SECONDS = 30
 
 
-def _delay_seconds(retry_after: str | None) -> int | None:
-    """A `Retry-After` header's delay-seconds (RFC 9110 §10.2.3: one or more
-    ASCII digits) up to `_MAX_WAIT_SECONDS`, or None for an absent header, an
-    HTTP-date or anything else."""
+def _delay_seconds(retry_after: str | None) -> float | None:
+    """A `Retry-After` header's wait (RFC 9110 §10.2.3) clamped to
+    [0, `_MAX_WAIT_SECONDS`]: its delay-seconds (one or more ASCII digits), or
+    its HTTP-date less the time now; None for an absent header or anything else."""
     value = (retry_after or "").strip()
     if not (value.isascii() and value.isdigit()):
-        return None
+        import datetime  # these two load on first use, as `requests` does
+        import email.utils
+
+        try:
+            when = email.utils.parsedate_to_datetime(value)
+        except ValueError:
+            return None
+        # An HTTP-date is in GMT, which its asctime form leaves unsaid.
+        if when.tzinfo is None:
+            when = when.replace(tzinfo=datetime.timezone.utc)
+        wait = (when - datetime.datetime.now(datetime.timezone.utc)).total_seconds()
+        return min(max(wait, 0.0), _MAX_WAIT_SECONDS)
     # Three significant digits are past the cap, so a longer string is never
     # converted: int() refuses one of over 4,300 digits.
     digits = value.lstrip("0")

@@ -434,6 +434,18 @@ def test_build_prompt_works_when_a_test_source_fails_to_parse(toy_dir, tmp_path,
     assert capout().out == (tmp_path / "out" / "system_prompt.txt").read_text(encoding="utf-8") + "\n"
 
 
+def test_build_prompt_prints_the_same_prompt_when_a_test_source_holds_a_bad_byte(toy_dir, tmp_path, capout):
+    assert main(["build-prompt", "--config", str(_write_config(toy_dir, tmp_path))]) == 0
+    clean = capout().out
+    sources = tmp_path / "sources"
+    shutil.copytree(toy_dir / "sources", sources)
+    assert "artists" in split_dataset(sorted(p.stem for p in sources.iterdir()), 2023, 0.5, "half").test
+    path = sources / "artists.csv"
+    path.write_bytes(path.read_bytes() + b"\xff\n")
+    assert main(["build-prompt", "--config", str(_write_config(toy_dir, tmp_path, sources_dir=str(sources)))]) == 0
+    assert capout().out == clean
+
+
 @pytest.mark.parametrize(
     "text", [b'{"semantic_triples": [', DEEPLY_NESTED["arrays.json"]], ids=["malformed", "nested"]
 )

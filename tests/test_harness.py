@@ -748,6 +748,74 @@ class TestSetupReadsOnlyTheSplit:
         for sid, size in sizes.items():
             assert size == next((toy_dir / "sources").glob(f"{sid}.*")).stat().st_size
 
+    def test_setup_opens_and_parses_only_the_known_sources(self, monkeypatch, toy_config, toy_dir, tmp_path):
+        dataset, paths, split, _ = self._dataset(toy_dir, tmp_path)
+        parse_source = harness.parse_source
+        opened, parsed = [], []
+
+        def counted_open(path, *args, **kwargs):
+            opened.append(Path(path))
+            return open(path, *args, **kwargs)
+
+        def counted_parse(raw_bytes, fmt, source_id, record_cap=None):
+            parsed.append(source_id)
+            return parse_source(raw_bytes, fmt, source_id, record_cap)
+
+        monkeypatch.setattr(harness, "open", counted_open, raising=False)
+        monkeypatch.setattr(harness, "parse_source", counted_parse)
+        experiment = harness.prepare_experiment(self._config(toy_config, dataset))
+        assert opened == [paths[sid] for sid in split.known]
+        assert parsed == list(split.known) == list(experiment.tables)
+        assert experiment.test_files == {sid: paths[sid] for sid in split.test}
+
+    @pytest.mark.parametrize("error", [PermissionError, FileNotFoundError])
+    def test_a_test_source_that_cannot_be_opened_fails_only_that_source(
+        self, error, monkeypatch, toy_config, toy_dir, tmp_path
+    ):
+        dataset, paths, split, _ = self._dataset(toy_dir, tmp_path)
+        bad = split.test[1]
+        read_table = harness.read_table
+
+        def refusing(path, record_cap=None):
+            if Path(path).stem == bad:
+                raise error(13, "refused", str(path))
+            return read_table(path, record_cap=record_cap)
+
+        monkeypatch.setattr(harness, "read_table", refusing)
+        config = self._config(toy_config, dataset)
+        report = run_experiment(config)
+
+        text = f"{error.__name__}: [Errno 13] refused: {str(paths[bad])!r}"
+        assert [(row.source_id, row.error) for row in report.rows if row.error] == [(bad, text)] * 2
+        assert all((row.precision, row.recall) == (0.0, 0.0) for row in report.rows if row.error)
+        assert all((row.precision, row.recall) == (1.0, 1.0) for row in report.rows if not row.error)
+        assert (config.out_dir / "sources" / bad / "error.txt").read_text(encoding="utf-8") == text + "\n"
+
+    def test_an_os_error_from_the_provider_still_stops_the_run(self, toy_config, toy_dir, tmp_path):
+        dataset, _, _, _ = self._dataset(toy_dir, tmp_path)
+
+        class _Refused(MockProvider):
+            def complete(self, system, turns, *, tags=None):
+                raise ConnectionRefusedError(111, "refused")
+
+        with pytest.raises(ConnectionRefusedError):
+            run_experiment(self._config(toy_config, dataset), _Refused(MockScript({})))
+
+    def test_a_known_source_that_cannot_be_opened_stops_the_run(self, monkeypatch, toy_config, toy_dir, tmp_path):
+        dataset, _, split, _ = self._dataset(toy_dir, tmp_path)
+        read_table = harness.read_table
+
+        def refusing(path, record_cap=None):
+            if Path(path).stem in split.known:
+                raise PermissionError(13, "refused", str(path))
+            return read_table(path, record_cap=record_cap)
+
+        monkeypatch.setattr(harness, "read_table", refusing)
+        provider = MockProvider(MockScript({}))
+        with pytest.raises(PermissionError, match="refused"):
+            run_experiment(self._config(toy_config, dataset), provider)
+        assert provider.calls == []
+
     def test_a_bad_gold_file_of_a_test_source_stops_the_run(self, toy_config, toy_dir, tmp_path):
         dataset, _, split, _ = self._dataset(toy_dir, tmp_path)
         bad = split.test[0]
@@ -821,18 +889,19 @@ def test_damaged_replies_fail_only_their_source_and_their_artifacts_read_back(to
     # text, so any other exception fails the test.
     config = toy_config()
     experiment = harness.prepare_experiment(config)
+    tables = load_tables(config.sources_dir, config.record_cap)
     script = MockScript.from_gold(experiment.golds)
     rng = random.Random(6)
     surrogates_written = 0
     for _ in range(1200):
-        sid = rng.choice(sorted(experiment.tables))
+        sid = rng.choice(sorted(tables))
         chain = ChainConfig(chaining_enabled=rng.random() < 0.6, strict_ontology_validation=rng.random() < 0.3)
         responses = dict(script.responses)
         for stage in (STAGE_CHAIN1, STAGE_CHAIN2) if chain.chaining_enabled else (STAGE_COMBINED,):
             responses[(sid, stage)] = mutated_reply(responses[(sid, stage)], rng)
         provider = MockProvider(MockScript(responses))
         scored = harness._run_one_source(
-            sid, experiment, dataclasses.replace(config, chain=chain), provider, [False, True]
+            sid, tables[sid], experiment, dataclasses.replace(config, chain=chain), provider, [False, True]
         )
         for _, outcome in scored:
             directory = tmp_path / sid

@@ -453,7 +453,9 @@ class TestHttpProvider:
             ([(429, "0"), (503, None)], [0, 2.0]),
             ([(503, " 120 "), (429, "30")], [30.0, 30]),
             ([(429, None), (503, None)], [1.0, 2.0]),
-            ([(429, "Wed, 21 Oct 2015 07:28:00 GMT"), (503, "1.5")], [1.0, 2.0]),
+            ([(429, "Wed, 21 Oct 2015 25:61:00 GMT"), (503, "1.5")], [1.0, 2.0]),
+            ([(429, "Sun, 21 Oct 1990 07:28:00 GMT"), (503, "Sunday, 21-Oct-90 07:28:00 GMT")], [0, 0]),
+            ([(503, "Fri, 01 Jan 2100 00:00:00 GMT"), (429, "Fri Jan  1 00:00:00 2100")], [30, 30]),
             ([(429, "-1"), (503, "\N{SUPERSCRIPT TWO}")], [1.0, 2.0]),
             ([(500, "7"), (502, "7")], [1.0, 2.0]),
             ([(429, "9" * 5000)], [30]),
@@ -464,6 +466,8 @@ class TestHttpProvider:
             "capped",
             "absent",
             "date-or-fraction",
+            "past-date",
+            "future-date",
             "signed-or-not-ascii",
             "other-5xx",
             "over-4300-digits",

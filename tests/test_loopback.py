@@ -177,6 +177,15 @@ def test_a_429_with_retry_after_zero_waits_zero_seconds(endpoint, session, toy_t
     assert completion.text == server.script.responses[("artists", STAGE_CHAIN1)]
 
 
+def test_a_429_with_retry_after_a_past_http_date_waits_zero_seconds(endpoint, session, toy_tables):
+    slept = []
+    server = endpoint((429, {"Retry-After": "Sun, 21 Oct 1990 07:28:00 GMT"}))
+    completion = _ask(_provider(server, session, sleep=slept.append), toy_tables)
+    assert slept == [0]
+    assert server.posts == 2
+    assert completion.text == server.script.responses[("artists", STAGE_CHAIN1)]
+
+
 def test_a_5xx_on_every_attempt_is_a_provider_error(endpoint, session, toy_tables):
     server = endpoint(*[(500, {})] * 3)
     with pytest.raises(ProviderError, match="HTTP 500: busy"):

@@ -3,7 +3,9 @@ modules; a refactor that drops one of those names breaks the benchmark."""
 
 from __future__ import annotations
 
+import json
 import sys
+import threading
 from pathlib import Path
 
 BENCH = Path(__file__).resolve().parent.parent / "perfbench"
@@ -54,14 +56,22 @@ def test_ablation_enters_run_experiment_once_before_any_provider_call(monkeypatc
     assert events[0] == "single-prompt"
 
 
-def test_prepare_experiment_parses_through_the_harness_trace_point(monkeypatch, toy_config, toy_dir):
+def test_a_run_parses_each_split_source_once_through_the_harness_trace_point(monkeypatch, toy_config):
+    # Every parse runs on the calling thread: parse_source pauses the
+    # process-wide garbage collector, which two parses at once would each toggle.
+    from semchain.ingest import FileBytes
+
     inner = harness.parse_source
-    parsed = []
+    parsed, threads = [], set()
 
     def counted(raw_bytes, fmt, source_id, record_cap=None):
-        parsed.append(source_id)
+        parsed.append((source_id, isinstance(raw_bytes, FileBytes)))
+        threads.add(threading.current_thread())
         return inner(raw_bytes, fmt, source_id, record_cap)
 
     monkeypatch.setattr(harness, "parse_source", counted)
-    harness.prepare_experiment(toy_config())
-    assert sorted(parsed) == sorted(p.stem for p in (toy_dir / "sources").iterdir())
+    config = toy_config(max_workers=4)
+    harness.run_experiment(config)
+    split = json.loads((config.out_dir / "split.json").read_text(encoding="utf-8"))
+    assert sorted(parsed) == sorted((sid, True) for sid in split["known"] + split["test"])
+    assert threads == {threading.current_thread()}

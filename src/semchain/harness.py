@@ -37,7 +37,8 @@ PRNG_DESCRIPTION = (
 SHOT_SETTINGS = ("one", "quarter", "half")
 SOURCE_SUFFIXES = tuple(f".{fmt.value}" for fmt in SourceFormat)
 GOLD_SUFFIXES = (".json",)
-# Every file write_source_artifacts writes; a rerun deletes no other file.
+# Every file write_source_artifacts writes, and the only files it may hard-link;
+# a rerun deletes no other file.
 _SOURCE_FILES = (
     "labels.json", "raw_model.json", "final_model.json", "transcript.jsonl", "notes.txt", "error.txt",
 )
@@ -358,7 +359,8 @@ def run_ablation(config: ExperimentConfig, provider: Provider | None = None) -> 
     run: each test source is modelled once and scored both unpruned and
     pruned, failures included. Each returned row also says whether its
     configuration had failed sources. An HTTP provider is built once, so one
-    rate limiter paces every arm; a mock is built per arm from its golds.
+    rate limiter paces every arm; a mock is built once per pass (single
+    prompt, then the chained pair) from that pass's golds.
     """
     if provider is None and isinstance(config.provider, Mapping) and config.provider.get("kind") == "http":
         provider = make_provider(config.provider, {})
@@ -423,9 +425,11 @@ def _run_arms(arms: Sequence[ExperimentConfig], provider: Provider | None) -> li
     rows: list[list[ev.ScoreRow]] = [[] for _ in arms]
     with concurrent.futures.ThreadPoolExecutor(max_workers=config.max_workers) as pool:
         for sid, scored in zip(split.test, pool.map(work, split.test, tables)):
+            # The arms' files of one source share one map, so a twin file links.
+            written: dict[bytes, Path] = {}
             for arm, arm_rows, (source_rows, outcome) in zip(arms, rows, scored):
                 arm_rows.extend(source_rows)
-                write_source_artifacts(arm.out_dir / "sources" / sid, sid, outcome)
+                write_source_artifacts(arm.out_dir / "sources" / sid, sid, outcome, written)
 
     reports = []
     for arm, arm_rows in zip(arms, rows):
@@ -552,20 +556,49 @@ def _write_run_meta(out: Path, config: ExperimentConfig, experiment: Experiment,
     _write(out / "run_meta.json", json.dumps(meta, indent=2) + "\n")
 
 
-def write_source_artifacts(directory: Path, sid: str, result: ChainResult | str) -> None:
+def write_source_artifacts(
+    directory: Path, sid: str, result: ChainResult | str, written: dict[bytes, Path] | None = None
+) -> None:
     """Replace the files in `directory` with one source's labels, models,
-    transcript and notes or, for a failed source's error text, `error.txt`."""
+    transcript and notes or, for a failed source's error text, `error.txt`.
+
+    A file whose bytes equal a file written before it is a hard link to that
+    file, so `final_model.json` may be `raw_model.json`. `written` maps each
+    content to the first path written with it; `_run_arms` passes one map for
+    a source's outcomes in every arm of a pass, so the chained arms' equal
+    files are links too. Where the filesystem refuses a link, the file is
+    written as a copy. Only these per-source files are ever linked, and a
+    rerun deletes their names before it writes, so it never writes through a
+    link; a reader who edits one in place should copy it first.
+    """
     try:
         directory.mkdir(parents=True)
     except FileExistsError:
         for name in _SOURCE_FILES:
             (directory / name).unlink(missing_ok=True)
+    if written is None:
+        written = {}
+
+    def put(name: str, text: str) -> None:
+        data = encode_text(text)
+        path = directory / name
+        first = written.setdefault(data, path)
+        if first is not path:
+            try:
+                os.link(first, path)
+                return
+            except FileExistsError:
+                raise  # writing through an existing link would change its twin
+            except OSError:
+                pass  # no hard links on this filesystem
+        path.write_bytes(data)
+
     if isinstance(result, str):
-        _write(directory / "error.txt", result + "\n")
+        put("error.txt", result + "\n")
         return
-    _write(directory / "labels.json", sm.serialize_labels(result.labels) + "\n")
-    _write(directory / "raw_model.json", sm.serialize_model(result.raw_model) + "\n")
-    _write(directory / "final_model.json", sm.serialize_model(result.final_model) + "\n")
+    put("labels.json", sm.serialize_labels(result.labels) + "\n")
+    put("raw_model.json", sm.serialize_model(result.raw_model) + "\n")
+    put("final_model.json", sm.serialize_model(result.final_model) + "\n")
     lines = []
     for stage, exchange in result.transcripts.items():
         lines.append(
@@ -584,9 +617,9 @@ def write_source_artifacts(directory: Path, sid: str, result: ChainResult | str)
                 ensure_ascii=False,
             )
         )
-    _write(directory / "transcript.jsonl", "\n".join(lines) + "\n")
+    put("transcript.jsonl", "\n".join(lines) + "\n")
     if result.notes:
-        _write(directory / "notes.txt", "\n".join(result.notes) + "\n")
+        put("notes.txt", "\n".join(result.notes) + "\n")
 
 
 def _write_report_csv(report: ev.EvalReport, path: Path) -> None:

@@ -386,6 +386,37 @@ def test_run_writes_the_experiment_source_files(toy_dir, tmp_path, capout):
         )
 
 
+def test_run_links_an_unchanged_final_model_to_the_raw_model(toy_dir, tmp_path, capout):
+    prompt = tmp_path / "system.txt"
+    prompt.write_text("system", encoding="utf-8")
+    out_dir = tmp_path / "single"
+    argv = ["run", "--system-prompt", str(prompt), "--source", str(toy_dir / "sources" / "donations.csv"),
+            "--mock-gold", str(toy_dir / "gold" / "donations.json"), "--out", str(out_dir)]
+    assert main(argv) == 0
+    raw, final = (out_dir / "raw_model.json").stat(), (out_dir / "final_model.json").stat()
+    assert raw.st_ino == final.st_ino and raw.st_nlink == 2
+    assert all((out_dir / name).stat().st_nlink == 1 for name in ("labels.json", "transcript.jsonl"))
+
+
+def test_run_into_an_ablation_arm_leaves_the_linked_twin_unchanged(toy_dir, tmp_path, capout):
+    # The chaining+prune arm's files are hard links to the chaining arm's.
+    assert main(["experiment", "--config", str(_write_config(toy_dir, tmp_path)), "--ablation"]) == 0
+    ablation = tmp_path / "out" / "ablation"
+    twin = ablation / "chaining"
+    before = {p: p.read_bytes() for p in twin.rglob("*") if p.is_file()}
+    target = ablation / "chaining+prune" / "sources" / "artists"
+    linked = twin / "sources" / "artists" / "transcript.jsonl"
+    assert (target / "transcript.jsonl").stat().st_ino == linked.stat().st_ino
+    gold = json.loads((toy_dir / "gold" / "artists.json").read_text(encoding="utf-8"))
+    other = tmp_path / "other.json"
+    other.write_text(json.dumps({**gold, "internal_link_triples": gold["internal_link_triples"][:1]}), encoding="utf-8")
+    argv = ["run", "--system-prompt", str(twin / "system_prompt.txt"),
+            "--source", str(toy_dir / "sources" / "artists.csv"), "--mock-gold", str(other), "--out", str(target)]
+    assert main(argv) == 0
+    assert len(json.loads((target / "raw_model.json").read_text(encoding="utf-8"))["internal_link_triples"]) == 1
+    assert {p: p.read_bytes() for p in twin.rglob("*") if p.is_file()} == before
+
+
 def test_every_command_parses_with_its_record_cap(monkeypatch, toy_dir, tmp_path, capout):
     from semchain import cli, harness
 

@@ -629,6 +629,90 @@ class TestExperiment:
         assert not (tmp_path / "run").exists()
 
 
+TOY_TEST = ("collection", "artists", "donations")  # the toy test split at seed 2023, shot half
+LINKABLE = ("labels.json", "raw_model.json", "transcript.jsonl")
+
+
+def _inode(path: Path) -> int:
+    return path.stat().st_ino
+
+
+class TestLinkedArtifacts:
+    """Equal per-source files of one pass are hard links to one file."""
+
+    @staticmethod
+    def _ablation(toy_config, out_dir, corruption=None):
+        provider = {"kind": "mock", "corruption": corruption} if corruption else {"kind": "mock"}
+        config = toy_config(out_dir=out_dir, provider=provider)
+        assert split_dataset(sorted(p.stem for p in config.sources_dir.iterdir()), 2023, 0.5, "half").test == TOY_TEST
+        run_ablation(config)
+        return Path(out_dir) / "ablation"
+
+    def test_a_gold_replay_links_the_chained_twins_and_each_final_model_to_its_raw_model(self, toy_config, tmp_path):
+        ablation = self._ablation(toy_config, tmp_path / "replay")
+        for sid in TOY_TEST:
+            chained, pruned = (ablation / arm / "sources" / sid for arm in ("chaining", "chaining+prune"))
+            for name in (*LINKABLE, "final_model.json"):
+                assert _inode(chained / name) == _inode(pruned / name), (sid, name)
+            for arm in ("single-prompt", "chaining", "chaining+prune"):
+                directory = ablation / arm / "sources" / sid
+                assert _inode(directory / "final_model.json") == _inode(directory / "raw_model.json"), (arm, sid)
+            assert (chained / "raw_model.json").stat().st_nlink == 4
+            assert (chained / "labels.json").stat().st_nlink == 2
+
+    def test_a_pruned_final_model_is_its_own_file_and_single_prompt_shares_nothing(self, toy_config, tmp_path):
+        ablation = self._ablation(toy_config, tmp_path / "injected", {"inject_instances": 2, "seed": 3})
+        for sid in TOY_TEST:
+            chained, pruned = (ablation / arm / "sources" / sid for arm in ("chaining", "chaining+prune"))
+            for name in LINKABLE:
+                assert _inode(chained / name) == _inode(pruned / name), (sid, name)
+            final = pruned / "final_model.json"
+            assert final.read_bytes() != (chained / "final_model.json").read_bytes()
+            assert final.stat().st_nlink == 1
+            assert _inode(chained / "final_model.json") == _inode(chained / "raw_model.json")
+        single = {_inode(p) for p in (ablation / "single-prompt").rglob("*")}
+        chained = {_inode(p) for arm in ("chaining", "chaining+prune") for p in (ablation / arm).rglob("*")}
+        assert not single & chained
+
+    def test_without_hard_links_every_file_is_a_copy_with_the_same_bytes(self, monkeypatch, toy_config, tmp_path):
+        corruption = {"inject_instances": 2, "seed": 3}
+        linked = self._ablation(toy_config, tmp_path / "linked", corruption)
+
+        def refuse(*args, **kwargs):
+            raise PermissionError("hard links not supported")
+
+        monkeypatch.setattr(harness.os, "link", refuse)
+        copied = self._ablation(toy_config, tmp_path / "copied", corruption)
+        files = sorted(p.relative_to(linked) for p in linked.rglob("*") if p.is_file())
+        assert files == sorted(p.relative_to(copied) for p in copied.rglob("*") if p.is_file())
+        for rel in files:
+            assert _without_latency(copied / rel) == _without_latency(linked / rel), rel
+            assert (copied / rel).stat().st_nlink == 1, rel
+
+    def test_an_existing_link_target_is_an_error_not_a_copy(self, monkeypatch, toy_config, tmp_path):
+        def exists(*args, **kwargs):
+            raise FileExistsError("file exists")
+
+        monkeypatch.setattr(harness.os, "link", exists)
+        with pytest.raises(FileExistsError):
+            run_ablation(toy_config(out_dir=tmp_path / "exists"))
+
+    def test_a_rerun_into_one_arm_leaves_its_twin_unchanged(self, toy_config, tmp_path):
+        ablation = self._ablation(toy_config, tmp_path / "twins")
+        twin = ablation / "chaining"
+        before = {p: p.read_bytes() for p in twin.rglob("*") if p.is_file()}
+        pruned = ablation / "chaining+prune"
+        replies = {sid: (pruned / "sources" / sid / "raw_model.json").read_bytes() for sid in TOY_TEST}
+        rerun = toy_config(
+            out_dir=pruned,
+            provider={"kind": "mock", "corruption": TOY_CORRUPTION},
+            chain=ChainConfig(pruning_enabled=True),
+        )
+        run_experiment(rerun)
+        assert any((pruned / "sources" / sid / "raw_model.json").read_bytes() != replies[sid] for sid in TOY_TEST)
+        assert {p: p.read_bytes() for p in twin.rglob("*") if p.is_file()} == before
+
+
 class TestSourceListing:
     def _sources(self, tmp_path, *names):
         sources = tmp_path / "sources"

@@ -11,10 +11,10 @@ import json
 import math
 import os
 import time
+from collections.abc import Iterable, Iterator, Mapping, Sequence
 from dataclasses import dataclass, field
 from operator import attrgetter
 from pathlib import Path
-from typing import Iterable, Mapping, Sequence
 
 from . import evaluation as ev
 from . import ontology as onto_mod
@@ -205,13 +205,13 @@ def load_tables(
     A source that fails to parse maps to its error instead of raising.
     """
     paths = _listed_files(sources_dir, SOURCE_SUFFIXES, "source files")
-    return {sid: _table_or_error(path, record_cap) for sid, path in paths.items()}
+    return {sid: _or_error(read_table, path, record_cap) for sid, path in paths.items()}
 
 
-def _table_or_error(path: Path, record_cap: int | None, errors=SemchainError) -> Table | Exception:
-    """`read_table(path, record_cap)`, or the error of type `errors` it raised."""
+def _or_error(read, *args, errors=SemchainError):
+    """`read(*args)`, or the error of type `errors` it raised."""
     try:
-        return read_table(path, record_cap=record_cap)
+        return read(*args)
     except errors as exc:
         return exc
 
@@ -282,6 +282,30 @@ def make_provider(spec: Mapping, golds: Mapping[str, sm.SemanticModel]) -> Provi
 
 # --- experiment runner -----------------------------------------------------------
 
+class _GoldFiles(Mapping):
+    """Gold models by source id, each read from its file on first use and
+    kept; a file that fails to read raises and is not kept. Not thread-safe:
+    a run reads golds in its calling thread only."""
+
+    def __init__(self, paths: Mapping[str, Path]) -> None:
+        self._paths = paths
+        self._models: dict[str, sm.SemanticModel] = {}
+
+    def __getitem__(self, sid: str) -> sm.SemanticModel:
+        if sid not in self._models:
+            self._models[sid] = read_model_file(self._paths[sid])
+        return self._models[sid]
+
+    def __contains__(self, sid: object) -> bool:
+        return sid in self._paths
+
+    def __iter__(self) -> Iterator[str]:
+        return iter(self._paths)
+
+    def __len__(self) -> int:
+        return len(self._paths)
+
+
 @dataclass(frozen=True)
 class Experiment:
     """Everything an experiment reads before its first provider call.
@@ -289,7 +313,9 @@ class Experiment:
     `source_ids` lists every source file. `tables` holds the known sources'
     tables and `test_files` the test sources' paths, in split order; a run
     reads each test source as it hands that source to its pool. `golds`
-    holds the split's known and test sources only.
+    holds the split's known and test sources only, each read from its file
+    the first time it is asked for: set-up reads the known sources' golds,
+    and a run reads each test source's gold with its table.
     """
 
     tables: Mapping[str, Table]
@@ -304,13 +330,13 @@ class Experiment:
 
 
 def prepare_experiment(config: ExperimentConfig) -> Experiment:
-    """List the sources and golds, split the sources, read the split's golds,
-    the known sources and the ontology, and assemble the system prompt from
-    the known sources.
+    """List the sources and golds, split the sources, read the known sources,
+    their golds and the ontology, and assemble the system prompt from the
+    known sources.
 
     Every source needs a gold file, but files outside the split are never
-    read, and test sources are left to the run. A known source that fails to
-    parse, or cannot be read, raises.
+    read, and test sources and their golds are left to the run. A known
+    source, or its gold, that fails to parse or cannot be read raises.
     """
     source_paths = _listed_files(config.sources_dir, SOURCE_SUFFIXES, "source files")
     gold_paths = _listed_files(config.gold_dir, GOLD_SUFFIXES, "gold models")
@@ -322,7 +348,7 @@ def prepare_experiment(config: ExperimentConfig) -> Experiment:
     rules = prompting.load_rules(config.rules_dir)
     source_ids = tuple(sorted(source_paths))
     split = split_dataset(source_ids, config.random_state, config.test_size, config.shot)
-    golds = {sid: read_model_file(gold_paths[sid]) for sid in split.known + split.test}
+    golds = _GoldFiles({sid: gold_paths[sid] for sid in split.known + split.test})
     tables = {sid: read_table(source_paths[sid], record_cap=config.record_cap) for sid in split.known}
     examples = [
         (
@@ -341,13 +367,16 @@ def prepare_experiment(config: ExperimentConfig) -> Experiment:
 def run_experiment(config: ExperimentConfig, provider: Provider | None = None) -> ev.EvalReport:
     """Run the full pipeline over the test split and persist every artifact.
 
-    Per-source failures, a test source that fails to parse or cannot be read
-    included, become zero-score rows instead of aborting the run; only
-    configuration problems and known sources that fail to parse or cannot be
-    read raise. Each test source is read, in the calling thread, just before
-    it is handed to the pool, so the first request waits only for the known
-    sources and the first test source. Each source's artifacts are written
-    once that source and every source before it in the split have finished.
+    Per-source failures, a test source or its gold that fails to parse or
+    cannot be read included, become zero-score rows instead of aborting the
+    run; only configuration problems and known sources or golds that fail to
+    parse or cannot be read raise. The mock provider is built from every
+    split gold, so with it a test source's bad gold raises too, before any
+    request. Each test source and its gold are read, in the calling thread,
+    just before the source is handed to the pool, so with a passed provider
+    the first request waits only for the known sources, their golds and the
+    first test source. Each source's artifacts are written once that source
+    and every source before it in the split have finished.
     """
     return _run_arms([config], provider)[0]
 
@@ -360,7 +389,8 @@ def run_ablation(config: ExperimentConfig, provider: Provider | None = None) -> 
     pruned, failures included. Each returned row also says whether its
     configuration had failed sources. An HTTP provider is built once, so one
     rate limiter paces every arm; a mock is built once per pass (single
-    prompt, then the chained pair) from that pass's golds.
+    prompt, then the chained pair) from that pass's golds. Each pass reads
+    each split gold at most once.
     """
     if provider is None and isinstance(config.provider, Mapping) and config.provider.get("kind") == "http":
         provider = make_provider(config.provider, {})
@@ -414,17 +444,21 @@ def _run_arms(arms: Sequence[ExperimentConfig], provider: Provider | None) -> li
     unpruned = dataclasses.replace(config, chain=dataclasses.replace(config.chain, pruning_enabled=False))
     prunes = [arm.chain.pruning_enabled for arm in arms]
 
-    def work(sid: str, table: Table | Exception):
-        return _run_one_source(sid, table, experiment, unpruned, provider, prunes)
+    def work(sid: str, table: Table | Exception, gold: sm.SemanticModel | Exception):
+        return _run_one_source(sid, table, gold, experiment, unpruned, provider, prunes)
 
     # Executor.map submits every job before it returns, pulling each source's
-    # table from this generator, so each test source is parsed in this thread
-    # while the jobs before it run. An unreadable file fails only its source.
+    # table and then its gold from these generators, so both are read in this
+    # thread while the jobs before it run. A file that cannot be read or
+    # parsed fails only its source.
     unreadable = (SemchainError, OSError)
-    tables = (_table_or_error(path, config.record_cap, unreadable) for path in experiment.test_files.values())
+    tables = (
+        _or_error(read_table, path, config.record_cap, errors=unreadable) for path in experiment.test_files.values()
+    )
+    golds = (_or_error(experiment.golds.__getitem__, sid, errors=unreadable) for sid in split.test)
     rows: list[list[ev.ScoreRow]] = [[] for _ in arms]
     with concurrent.futures.ThreadPoolExecutor(max_workers=config.max_workers) as pool:
-        for sid, scored in zip(split.test, pool.map(work, split.test, tables)):
+        for sid, scored in zip(split.test, pool.map(work, split.test, tables, golds)):
             # The arms' files of one source share one map, so a twin file links.
             written: dict[bytes, Path] = {}
             for arm, arm_rows, (source_rows, outcome) in zip(arms, rows, scored):
@@ -441,26 +475,30 @@ def _run_arms(arms: Sequence[ExperimentConfig], provider: Provider | None) -> li
     return reports
 
 
-_NO_PREDICTION = sm.SemanticModel(frozenset(), frozenset())
+_EMPTY_MODEL = sm.SemanticModel(frozenset(), frozenset())
 
 
 def _run_one_source(
     sid: str,
     table: Table | Exception,
+    gold: sm.SemanticModel | Exception,
     experiment: Experiment,
     config: ExperimentConfig,
     provider: Provider,
     prunes: Sequence[bool],
 ) -> list[tuple[list[ev.ScoreRow], ChainResult | str]]:
-    """Model one test source once, from its table or the error reading it
-    raised, and score it for each entry of `prunes`, pruned where the entry
-    is true; a failure is scored as an empty prediction and returned as its
+    """Model one test source once, from its table and gold or the errors
+    reading them raised, and score it for each entry of `prunes`, pruned
+    where the entry is true; a failure is scored as an empty prediction
+    (against an empty gold if the gold is the failure) and returned as its
     error text in place of the result."""
     started = time.perf_counter()
-    gold = experiment.golds[sid]
-    # A gold model whose depth is undefined (cyclic) fails only this source.
+    # A gold that cannot be read, or whose depth is undefined (cyclic), fails
+    # only this source, and no request is sent for it.
     gold_depth = 0
     try:
+        if isinstance(gold, Exception):
+            raise gold
         gold_depth = sm.depth(gold)
         if isinstance(table, Exception):
             raise table
@@ -476,16 +514,18 @@ def _run_one_source(
         outcomes = [result.pruned(table.attributes) if prune else result for prune in prunes]
         tokens, error = result.total_tokens(), ""
     except (SemchainError, OSError) as exc:
-        if isinstance(exc, OSError) and exc is not table:
+        if isinstance(exc, OSError) and exc is not table and exc is not gold:
             raise  # a provider's OSError is not this source's unreadable file
         error = f"{type(exc).__name__}: {exc}"
         outcomes, tokens = [error] * len(prunes), 0
+        if isinstance(gold, Exception):
+            gold = _EMPTY_MODEL
     wall_ms = (time.perf_counter() - started) * 1000.0
     scored = []
     # Pruning that removed nothing leaves an outcome equal to one scored already.
     rows_for: dict[tuple[sm.SemanticModel, sm.SemanticModel], list[ev.ScoreRow]] = {}
     for outcome in outcomes:
-        predictions = (_NO_PREDICTION, _NO_PREDICTION) if error else (outcome.labels, outcome.final_model)
+        predictions = (_EMPTY_MODEL, _EMPTY_MODEL) if error else (outcome.labels, outcome.final_model)
         if predictions in rows_for:
             scored.append((rows_for[predictions], outcome))
             continue

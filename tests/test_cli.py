@@ -477,6 +477,17 @@ def test_build_prompt_prints_the_same_prompt_when_a_test_source_holds_a_bad_byte
     assert capout().out == clean
 
 
+def test_build_prompt_prints_the_same_prompt_when_a_test_gold_is_malformed(toy_dir, tmp_path, capout):
+    assert main(["build-prompt", "--config", str(_write_config(toy_dir, tmp_path))]) == 0
+    clean = capout().out
+    gold = tmp_path / "gold"
+    shutil.copytree(toy_dir / "gold", gold)
+    assert "artists" in split_dataset(sorted(p.stem for p in gold.iterdir()), 2023, 0.5, "half").test
+    (gold / "artists.json").write_text('{"semantic_triples": [', encoding="utf-8")
+    assert main(["build-prompt", "--config", str(_write_config(toy_dir, tmp_path, gold_dir=str(gold)))]) == 0
+    assert capout().out == clean
+
+
 @pytest.mark.parametrize(
     "text", [b'{"semantic_triples": [', DEEPLY_NESTED["arrays.json"]], ids=["malformed", "nested"]
 )

@@ -7,6 +7,7 @@ import json
 import random
 import re
 import shutil
+import threading
 from pathlib import Path
 
 import pytest
@@ -907,6 +908,92 @@ class TestSetupReadsOnlyTheSplit:
         with pytest.raises(FormatError, match=rf"^{bad}\.json: model: not JSON: "):
             run_experiment(self._config(toy_config, dataset))
 
+    def _counted_gold_reads(self, monkeypatch):
+        """Spy on `harness.read_model_file`; returns the stems read, in order."""
+        read_model_file, read = harness.read_model_file, []
+
+        def counted(path, **kwargs):
+            read.append(Path(path).stem)
+            return read_model_file(path, **kwargs)
+
+        monkeypatch.setattr(harness, "read_model_file", counted)
+        return read
+
+    def test_setup_reads_only_the_known_golds_before_the_first_request(
+        self, monkeypatch, toy_config, toy_dir, toy_golds, tmp_path
+    ):
+        dataset, _, split, _ = self._dataset(toy_dir, tmp_path)
+        read = self._counted_gold_reads(monkeypatch)
+        counted = harness.read_model_file
+        first_call = threading.Event()
+        read_at_first_call = []
+
+        def gated(path, **kwargs):
+            # A later test gold waits for the first request, so the order checked
+            # below does not depend on how the threads are scheduled.
+            if Path(path).stem in split.test[1:]:
+                assert first_call.wait(timeout=10)
+            return counted(path, **kwargs)
+
+        class _Recording(MockProvider):
+            def complete(self, system, turns, *, tags=None):
+                if not first_call.is_set():
+                    read_at_first_call.extend(read)
+                    first_call.set()
+                return super().complete(system, turns, tags=tags)
+
+        monkeypatch.setattr(harness, "read_model_file", gated)
+        report = run_experiment(self._config(toy_config, dataset), _Recording(MockScript.from_gold(toy_golds)))
+
+        assert not report.has_failures()
+        assert read_at_first_call == [*split.known, split.test[0]]
+        assert sorted(read) == sorted(split.known + split.test)
+
+    @pytest.mark.parametrize("passed", [True, False], ids=["passed-provider", "mock"])
+    def test_each_split_gold_is_read_once_per_pass(self, passed, monkeypatch, toy_config, toy_dir, toy_golds, tmp_path):
+        dataset, _, split, _ = self._dataset(toy_dir, tmp_path)
+        provider = MockProvider(MockScript.from_gold(toy_golds)) if passed else None
+        read = self._counted_gold_reads(monkeypatch)
+        run_experiment(self._config(toy_config, dataset), provider)
+        assert sorted(read) == sorted(split.known + split.test)
+        read.clear()
+        # An ablation makes two passes: single prompt, then the chained pair.
+        run_ablation(self._config(toy_config, dataset), provider)
+        assert sorted(read) == sorted(2 * (split.known + split.test))
+
+    @pytest.mark.parametrize("error", ["malformed", "permission"])
+    def test_a_bad_gold_file_of_a_test_source_fails_only_that_source_with_a_passed_provider(
+        self, error, monkeypatch, toy_config, toy_dir, toy_golds, tmp_path
+    ):
+        dataset, paths, split, _ = self._dataset(toy_dir, tmp_path)
+        bad = split.test[1]
+        gold_path = dataset / "gold" / f"{bad}.json"
+        if error == "malformed":
+            gold_path.write_text("{not json", encoding="utf-8")
+            text = f"FormatError: {bad}.json: model: not JSON: "
+        else:
+            read_model_file = harness.read_model_file
+
+            def refusing(path, **kwargs):
+                if Path(path).stem == bad:
+                    raise PermissionError(13, "refused", str(path))
+                return read_model_file(path, **kwargs)
+
+            monkeypatch.setattr(harness, "read_model_file", refusing)
+            text = f"PermissionError: [Errno 13] refused: {str(gold_path)!r}"
+        provider = MockProvider(MockScript.from_gold(toy_golds))
+        config = self._config(toy_config, dataset)
+        report = run_experiment(config, provider)
+
+        failed = [row for row in report.rows if row.error]
+        assert [(row.source_id, row.step) for row in failed] == [(bad, LABELING), (bad, MODELING)]
+        assert all(row.error.startswith(text) for row in failed)
+        assert all((row.precision, row.recall, row.gold_size, row.depth) == (0.0, 0.0, 0, 0) for row in failed)
+        assert all((row.precision, row.recall) == (1.0, 1.0) for row in report.rows if not row.error)
+        assert {sid for sid, _ in provider.calls} == set(split.test) - {bad}
+        assert (config.out_dir / "sources" / bad / "error.txt").read_text(encoding="utf-8").startswith(text)
+        assert json.loads((config.out_dir / "aggregate.json").read_text())["failed_sources"] == [bad]
+
     def test_an_unused_source_without_gold_is_a_config_error(self, toy_config, toy_dir, tmp_path):
         dataset, _, _, unused = self._dataset(toy_dir, tmp_path)
         (dataset / "gold" / f"{unused[0]}.json").unlink()
@@ -985,7 +1072,13 @@ def test_damaged_replies_fail_only_their_source_and_their_artifacts_read_back(to
             responses[(sid, stage)] = mutated_reply(responses[(sid, stage)], rng)
         provider = MockProvider(MockScript(responses))
         scored = harness._run_one_source(
-            sid, tables[sid], experiment, dataclasses.replace(config, chain=chain), provider, [False, True]
+            sid,
+            tables[sid],
+            experiment.golds[sid],
+            experiment,
+            dataclasses.replace(config, chain=chain),
+            provider,
+            [False, True],
         )
         for _, outcome in scored:
             directory = tmp_path / sid

@@ -216,11 +216,12 @@ def _or_error(read, *args, errors=SemchainError):
         return exc
 
 
-def _listed_files(directory: str | Path, suffixes: tuple[str, ...], what: str) -> dict[str, Path]:
-    """Files in `directory` whose suffix, in any case, is one of `suffixes`,
-    by stem (the source id). Two files with one stem are an error, and so is
-    finding none, which names `what`; a missing directory holds none."""
-    paths: dict[str, Path] = {}
+def _listed_files(directory: str | Path, suffixes: tuple[str, ...], what: str) -> dict[str, str]:
+    """The paths of the files in `directory` whose suffix, in any case, is one
+    of `suffixes`, by stem (the source id). Two files with one stem are an
+    error, and so is finding none, which names `what`; a missing directory
+    holds none. A path stays a string: a run opens only its split's files."""
+    paths: dict[str, str] = {}
     try:
         with os.scandir(directory) as entries:
             for entry in sorted(entries, key=attrgetter("name")):
@@ -229,7 +230,7 @@ def _listed_files(directory: str | Path, suffixes: tuple[str, ...], what: str) -
                     continue
                 if stem in paths:
                     raise ValueError(f"duplicate source id {stem!r} in {directory}")
-                paths[stem] = Path(entry.path)
+                paths[stem] = entry.path
     except (FileNotFoundError, NotADirectoryError):
         pass
     if not paths:
@@ -287,7 +288,7 @@ class _GoldFiles(Mapping):
     kept; a file that fails to read raises and is not kept. Not thread-safe:
     a run reads golds in its calling thread only."""
 
-    def __init__(self, paths: Mapping[str, Path]) -> None:
+    def __init__(self, paths: Mapping[str, str]) -> None:
         self._paths = paths
         self._models: dict[str, sm.SemanticModel] = {}
 
@@ -360,7 +361,7 @@ def prepare_experiment(config: ExperimentConfig) -> Experiment:
     ]
     onto_json = onto_mod.serialize_ontology(ontology)
     system_prompt = prompting.build_system_prompt(onto_json, examples, rules, templates)
-    test_files = {sid: source_paths[sid] for sid in split.test}
+    test_files = {sid: Path(source_paths[sid]) for sid in split.test}
     return Experiment(tables, test_files, golds, ontology, split, templates, rules, system_prompt, source_ids)
 
 

@@ -115,6 +115,9 @@ class ProviderConfig:
             url = None
         if url is None or url.scheme not in ("http", "https") or not url.hostname:
             raise ValueError(f"base_url must be an http or https URL with a host, got {self.base_url!r}")
+        bad = [c for c in self.base_url if not "!" <= c <= "~"]
+        if bad:  # http.client sends no other character, so every request would fail
+            raise ValueError(f"base_url must be printable ASCII with no space, got {bad[0]!r}")
         for name in ("temperature", "timeout"):
             if not math.isfinite(getattr(self, name)):
                 raise ValueError(f"{name} must be a finite number, got {getattr(self, name)!r}")
@@ -177,20 +180,21 @@ class RateLimiter:
 
 
 class HttpProvider:
-    """OpenAI-style chat-completions client.
+    """OpenAI-style chat-completions client over the standard library.
 
-    The API key is read from the environment once, when the provider is
-    built, so an unset key fails before any request. Transient failures
-    (timeouts, connection and other transport errors, 429, 5xx) are retried
-    with exponential backoff up to max_retries; one shared rate limiter
-    paces all threads using this provider. `requests` is imported only when
-    a provider is built, so offline runs never load the HTTP stack.
+    The API key and the proxy variables are read from the environment once,
+    when the provider is built, so an unset key fails before any request.
+    Transient failures (timeouts, connection and other transport errors, 429,
+    5xx) are retried with exponential backoff up to max_retries; one shared
+    rate limiter paces all threads using this provider. No redirect is
+    followed, so the key never goes to another host. `urllib` is imported
+    only when a provider is built, so offline runs never load the HTTP stack.
     """
 
     def __init__(
         self,
         config: ProviderConfig,
-        session=None,
+        opener=None,
         clock: Callable[[], float] = time.monotonic,
         sleep: Callable[[float], None] = time.sleep,
     ) -> None:
@@ -198,9 +202,15 @@ class HttpProvider:
         self._api_key = os.environ.get(config.api_key_env, "")
         if not self._api_key:
             raise AuthError(f"environment variable {config.api_key_env!r} is not set")
-        import requests
+        import urllib.request
 
-        self._session = session if session is not None else requests.Session()
+        if opener is None:
+            # urllib's redirect copies the Authorization header to whatever
+            # host `Location` names; refused, a 3xx reaches the status ladder.
+            refuse = urllib.request.HTTPRedirectHandler()
+            refuse.redirect_request = lambda *args: None
+            opener = urllib.request.build_opener(refuse)
+        self._opener = opener
         self._sleep = sleep
         self._limiter = RateLimiter(config.requests_per_minute, clock, sleep)
 
@@ -212,7 +222,9 @@ class HttpProvider:
         tags: Mapping[str, str] | None = None,
     ) -> Completion:
         del tags  # only the mock keys on them; transcripts are written upstream
-        import requests
+        import http.client
+        import urllib.error
+        import urllib.request
 
         body = {
             "model": self.config.model_name,
@@ -221,8 +233,9 @@ class HttpProvider:
             "temperature": self.config.temperature,
             "max_tokens": self.config.max_tokens,
         }
+        data = json.dumps(body).encode()
         url = self.config.base_url.rstrip("/") + "/chat/completions"
-        headers = {"Authorization": f"Bearer {self._api_key}"}
+        headers = {"Authorization": f"Bearer {self._api_key}", "Content-Type": "application/json"}
         # Seconds the server asked to wait before the next attempt, if it did.
         retry_after: float | None = None
         for attempt in range(self.config.max_retries + 1):
@@ -231,37 +244,44 @@ class HttpProvider:
             retry_after = None
             self._limiter.acquire()
             try:
-                response = self._session.post(url, json=body, headers=headers, timeout=self.config.timeout)
-                status = response.status_code
-                if status in (401, 403):
-                    raise AuthError(f"provider rejected credentials: HTTP {status}")
-                if status in (429, 503):
-                    retry_after = _delay_seconds(response.headers.get("Retry-After"))
-                if status == 429:
-                    error = RateLimitExhaustedError(f"still rate limited after retries: {response.text[:500]}")
-                    continue
-                if status >= 500:
-                    error = ProviderError(
-                        f"transient server failures exhausted retries: HTTP {status}: {response.text[:500]}"
+                request = urllib.request.Request(url, data, headers)
+                try:
+                    response = self._opener.open(request, timeout=self.config.timeout)
+                except urllib.error.HTTPError as exc:
+                    response = exc  # a non-2xx reply: its status, headers and body
+                with response:
+                    status, reply = response.status, response.read()
+            except (OSError, http.client.HTTPException) as exc:
+                # Anything on the wire or in the body read: a refused or reset
+                # connection, a body cut short. A URLError wraps what failed
+                # while connecting.
+                cause = exc.reason if isinstance(getattr(exc, "reason", None), OSError) else exc
+                if isinstance(cause, TimeoutError):
+                    error = ProviderTimeoutError(f"no reply within {self.config.timeout}s after retries: {cause}")
+                else:
+                    error = TransportError(
+                        f"transient transport failures exhausted retries: {type(cause).__name__}: {cause}"
                     )
-                    continue
-                if not 200 <= status < 300:
-                    raise ProviderError(f"HTTP {status}: {response.text[:500]}")
-                return self._parse_response(response, system, turns)
-            except requests.Timeout as exc:
-                error = ProviderTimeoutError(f"no reply within {self.config.timeout}s after retries: {exc}")
-            except requests.RequestException as exc:
-                # Anything else on the wire or in the body read: connection,
-                # chunked encoding, content decoding, redirects.
-                error = TransportError(
-                    f"transient transport failures exhausted retries: {type(exc).__name__}: {exc}"
-                )
+                continue
+            if 200 <= status < 300:
+                return self._parse_response(reply, system, turns)
+            if status in (401, 403):
+                raise AuthError(f"provider rejected credentials: HTTP {status}")
+            text = reply.decode("utf-8", "replace")[:500]
+            if status in (429, 503):
+                retry_after = _delay_seconds(response.headers.get("Retry-After"))
+            if status == 429:
+                error = RateLimitExhaustedError(f"still rate limited after retries: {text}")
+            elif status >= 500:
+                error = ProviderError(f"transient server failures exhausted retries: HTTP {status}: {text}")
+            else:
+                raise ProviderError(f"HTTP {status}: {text}")
         # max_retries >= 0, so at least one attempt set `error`.
         raise error
 
-    def _parse_response(self, response, system: str, turns: Sequence[Message]) -> Completion:
+    def _parse_response(self, reply: bytes, system: str, turns: Sequence[Message]) -> Completion:
         try:
-            data = response.json()
+            data = json.loads(reply)
             text = data["choices"][0]["message"]["content"]
         except (ValueError, KeyError, IndexError, TypeError, RecursionError) as exc:
             raise ProviderError(f"malformed provider response: {exc}") from None
@@ -284,7 +304,7 @@ def _delay_seconds(retry_after: str | None) -> float | None:
     its HTTP-date less the time now; None for an absent header or anything else."""
     value = (retry_after or "").strip()
     if not (value.isascii() and value.isdigit()):
-        import datetime  # these two load on first use, as `requests` does
+        import datetime  # `urllib.request` loaded these two already; offline runs never do
         import email.utils
 
         try:

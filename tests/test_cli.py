@@ -530,6 +530,10 @@ def test_bad_json_input_prints_one_error_and_exits_one(command, text, toy_dir, t
         ("base_url", {"provider": {"kind": "http", "base_url": "ftp://example.com", "model_name": "m"}}),
         ("base_url", {"provider": {"kind": "http", "base_url": "http://", "model_name": "m"}}),
         (
+            "base_url must be printable ASCII with no space, got ' '",
+            {"provider": {"kind": "http", "base_url": "http://127.0.0.1:9/v 1", "model_name": "m"}},
+        ),
+        (
             "environment variable 'SEMCHAIN_TEST_UNSET_KEY' is not set",
             {"provider": {"kind": "http", "base_url": "https://api.example.test/v1", "model_name": "m",
                           "api_key_env": "SEMCHAIN_TEST_UNSET_KEY"}},
@@ -573,7 +577,7 @@ def test_bad_json_input_prints_one_error_and_exits_one(command, text, toy_dir, t
         "chain-flag-string-no", "chain-flag-string-false", "max-workers-float",
         "corruption-drop-float", "corruption-rename-float", "corruption-stages-string",
         "http-base-url-int", "http-retries-float",
-        "http-base-url-no-scheme", "http-base-url-ftp", "http-base-url-no-host",
+        "http-base-url-no-scheme", "http-base-url-ftp", "http-base-url-no-host", "http-base-url-space",
         "http-key-unset", "http-max-tokens-zero", "http-timeout-nan", "http-temperature-infinity",
         "mock-key", "corruption-empty-list", "corruption-zero",
         "shot-true", "shot-zero", "test-size-one", "test-size-no-split", "record-cap-zero",

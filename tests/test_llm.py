@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import hashlib
+import http.client
 import json
 import math
 import os
@@ -9,6 +10,7 @@ import re
 import subprocess
 import sys
 import time
+import urllib.error
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -289,24 +291,30 @@ class TestRateLimiter:
 
 
 class _FakeResponse:
-    def __init__(self, status_code, payload=None, text="", headers=None):
-        self.status_code = status_code
+    """A reply as an opener hands it over: a status, headers and a body to read."""
+
+    def __init__(self, status, payload=None, text="", headers=None):
+        self.status = status
         self._payload = payload
         self.text = text
         self.headers = headers or {}
 
-    def json(self):
-        if self._payload is None:
-            raise ValueError("no json")
-        return self._payload
+    def read(self):
+        return (self.text if self._payload is None else json.dumps(self._payload)).encode()
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc_info):
+        pass
 
 
 @dataclass
-class _FakeSession:
+class _FakeOpener:
     responses: list
     posts: int = 0
 
-    def post(self, url, json=None, headers=None, timeout=None):
+    def open(self, request, timeout=None):
         self.posts += 1
         item = self.responses.pop(0)
         if isinstance(item, Exception):
@@ -345,7 +353,7 @@ def _provider(responses, sleep=lambda s: None, **overrides):
         clockbox[0] += 0.001
         return clockbox[0]
 
-    return HttpProvider(_config(**overrides), session=_FakeSession(responses), clock=clock, sleep=sleep)
+    return HttpProvider(_config(**overrides), opener=_FakeOpener(responses), clock=clock, sleep=sleep)
 
 
 class TestHttpProvider:
@@ -379,49 +387,43 @@ class TestHttpProvider:
             _provider(responses).complete("s", [])
 
     def test_timeouts_exhaust_into_timeout_error(self):
-        import requests
-
-        responses = [requests.Timeout("t")] * 3
-        with pytest.raises(ProviderTimeoutError):
-            _provider(responses).complete("s", [])
+        # A timeout while reading, and one while connecting, which urllib wraps.
+        for timeout in (TimeoutError("t"), urllib.error.URLError(TimeoutError("t"))):
+            with pytest.raises(ProviderTimeoutError):
+                _provider([timeout] * 3).complete("s", [])
 
     def test_transport_errors_retry_then_exhaust_into_provider_error(self):
-        import requests
-
-        for failure in (requests.exceptions.ChunkedEncodingError, requests.ConnectionError):
-            provider = _provider([failure("cut"), _ok_response()])
+        for failure, name in (
+            (http.client.IncompleteRead(b"cut"), "IncompleteRead"),
+            (ConnectionResetError("reset"), "ConnectionResetError"),
+            (urllib.error.URLError(ConnectionRefusedError("refused")), "ConnectionRefusedError"),
+        ):
+            provider = _provider([failure, _ok_response()])
             assert provider.complete("s", []).text == "hello"
 
-            provider = _provider([failure("cut")] * 3)
-            with pytest.raises(ProviderError, match=f"transport failures .*{failure.__name__}") as caught:
+            provider = _provider([failure] * 3)
+            with pytest.raises(ProviderError, match=f"transport failures .*{name}") as caught:
                 provider.complete("s", [])
             assert type(caught.value) is TransportError
-            assert provider._session.posts == 3
+            assert provider._opener.posts == 3
 
     def test_transport_error_while_reading_the_body_is_retried(self):
-        import requests
-
         class _CutResponse(_FakeResponse):
-            def json(self):
-                raise requests.exceptions.ChunkedEncodingError("body cut")
+            def read(self):
+                raise http.client.IncompleteRead(b"body", 10)
 
         provider = _provider([_CutResponse(200), _ok_response()])
         assert provider.complete("s", []).text == "hello"
-        assert provider._session.posts == 2
+        assert provider._opener.posts == 2
 
     @pytest.mark.parametrize(
         "body", ['{"choices": [', "[" * 100_000 + "]" * 100_000], ids=["malformed", "nested"]
     )
     def test_a_body_that_cannot_be_decoded_is_a_provider_error(self, body):
-        class _BodyResponse(_FakeResponse):
-            # Decodes its body as requests.Response.json does.
-            def json(self):
-                return json.loads(self.text)
-
-        provider = _provider([_BodyResponse(200, text=body)])
+        provider = _provider([_FakeResponse(200, text=body)])
         with pytest.raises(ProviderError, match="malformed provider response"):
             provider.complete("s", [])
-        assert provider._session.posts == 1
+        assert provider._opener.posts == 1
 
     @pytest.mark.parametrize("content", [None, 7, ["hello"], {"text": "hello"}])
     def test_content_that_is_not_text_is_a_provider_error(self, content):
@@ -487,27 +489,28 @@ class TestHttpProvider:
         provider = _provider([_FakeResponse(404, text="missing")])
         with pytest.raises(ProviderError):
             provider.complete("s", [])
-        assert provider._session.posts == 1
+        assert provider._opener.posts == 1
 
 
 class TestHttpStackIsImportedOnlyForHttp:
-    """Fresh interpreters, because this test process has imported requests already."""
+    """Fresh interpreters, because this test process has loaded the HTTP stack already."""
 
     SRC = Path(__file__).resolve().parent.parent / "src"
 
-    def _loads_requests(self, code: str, tmp_path: Path) -> bool:
+    def _loaded_http_stack(self, code: str, tmp_path: Path) -> str:
+        """Which of `http.client` and `urllib.request` running `code` loads."""
         env = {**os.environ, "PYTHONPATH": str(self.SRC)}
-        code += "\nprint('requests' in sys.modules)"
+        code += "\nprint(sorted({'http.client', 'urllib.request'} & set(sys.modules)))"
         done = subprocess.run(
             [sys.executable, "-c", code], cwd=tmp_path, env=env, capture_output=True, text=True, timeout=60
         )
         assert done.returncode == 0, done.stderr
-        return done.stdout.splitlines()[-1] == "True"
+        return done.stdout.splitlines()[-1]
 
-    def test_importing_the_package_leaves_requests_unloaded(self, tmp_path):
-        assert not self._loads_requests("import sys, semchain", tmp_path)
+    def test_importing_the_package_leaves_the_http_stack_unloaded(self, tmp_path):
+        assert self._loaded_http_stack("import sys, semchain", tmp_path) == "[]"
 
-    def test_an_offline_experiment_leaves_requests_unloaded(self, toy_dir, tmp_path):
+    def test_an_offline_experiment_leaves_the_http_stack_unloaded(self, toy_dir, tmp_path):
         config = {
             "sources_dir": str(toy_dir / "sources"),
             "ontology_path": str(toy_dir / "ontology.json"),
@@ -524,17 +527,17 @@ class TestHttpStackIsImportedOnlyForHttp:
             "except SystemExit as done:\n"
             "    assert done.code == 0, done.code"
         )
-        assert not self._loads_requests(code, tmp_path)
+        assert self._loaded_http_stack(code, tmp_path) == "[]"
         assert (tmp_path / "out" / "report.csv").is_file()
 
-    def test_building_an_http_provider_loads_requests(self, tmp_path):
+    def test_building_an_http_provider_loads_the_http_stack(self, tmp_path):
         code = (
             "import sys\n"
             "from semchain import HttpProvider, ProviderConfig\n"
-            "assert 'requests' not in sys.modules\n"
+            "assert 'urllib.request' not in sys.modules\n"
             "HttpProvider(ProviderConfig(base_url='http://127.0.0.1:9/v1', model_name='m', api_key_env='SEMCHAIN_TEST_KEY'))"
         )
-        assert self._loads_requests(code, tmp_path)
+        assert self._loaded_http_stack(code, tmp_path) == "['http.client', 'urllib.request']"
 
 
 def test_chat_exchange_validates_alternation():
@@ -575,6 +578,23 @@ def test_provider_config_rejects_unusable_numbers(setting, message):
 )
 def test_base_url_must_be_an_http_url_with_a_host(base_url):
     with pytest.raises(ValueError, match="^base_url must be an http or https URL with a host"):
+        ProviderConfig(base_url=base_url, model_name="m")
+
+
+@pytest.mark.parametrize(
+    "base_url, bad",
+    [
+        ("http://127.0.0.1:9/v 1", " "),
+        ("http://127.0.0.1:9/v1\t", "\t"),
+        ("http://127.0.0.1:9/v1\n", "\n"),
+        ("http://127.0.0.1:9/v\x7f1", "\x7f"),
+        ("http://127.0.0.1:9/v\u00a01", "\u00a0"),
+        ("http://127.0.0.1:9/v\u00e9", "\u00e9"),
+    ],
+    ids=["space", "tab", "newline", "delete", "no-break-space", "non-ascii"],
+)
+def test_base_url_must_be_printable_ascii_with_no_space(base_url, bad):
+    with pytest.raises(ValueError, match=re.escape(f"base_url must be printable ASCII with no space, got {bad!r}")):
         ProviderConfig(base_url=base_url, model_name="m")
 
 

@@ -1,9 +1,10 @@
 """HttpProvider against a chat-completions endpoint on 127.0.0.1.
 
-Unlike the `_FakeSession` tests, these go through `requests` for real: it
-encodes each body, a real socket carries it, timeouts are real and
-`response.json()` reads real bytes. The endpoint replays the gold answers of
-the toy fixture, so a run through it scores as a run through the mock does.
+Unlike the `_FakeOpener` tests, these go through the provider's own `urllib`
+opener for real: a real socket carries each body, timeouts are real, the
+reply is read from real bytes, and redirects and proxy variables are handled
+as a live run handles them. The endpoint replays the gold answers of the toy
+fixture, so a run through it scores as a run through the mock does.
 """
 
 from __future__ import annotations
@@ -11,10 +12,10 @@ from __future__ import annotations
 import dataclasses
 import http.server
 import json
+import os
 import threading
 
 import pytest
-import requests
 
 import semchain as sc
 from semchain.errors import ProviderError, ProviderTimeoutError, TransportError
@@ -43,11 +44,16 @@ class _Endpoint(http.server.ThreadingHTTPServer):
         self.script = script
         self.tables = tables
         self.faults = list(faults)
-        self.posts = 0
+        # The request target of every post, in order of arrival.
+        self.paths: list[str] = []
         self.handlers: list[threading.Thread] = []
         # Set when the test ends; a SLOW reply waits for it.
         self.released = threading.Event()
         self._lock = threading.Lock()
+
+    @property
+    def posts(self) -> int:
+        return len(self.paths)
 
     @property
     def base_url(self) -> str:
@@ -58,9 +64,9 @@ class _Endpoint(http.server.ThreadingHTTPServer):
             self.handlers.append(threading.current_thread())
         super().process_request_thread(request, client_address)
 
-    def next_fault(self):
+    def next_fault(self, path: str):
         with self._lock:
-            self.posts += 1
+            self.paths.append(path)
             return self.faults.pop(0) if self.faults else None
 
     def reply(self, messages: list[dict]) -> str:
@@ -78,7 +84,7 @@ class _Handler(http.server.BaseHTTPRequestHandler):
 
     def do_POST(self) -> None:
         request = json.loads(self.rfile.read(int(self.headers["Content-Length"])))
-        fault = self.server.next_fault()
+        fault = self.server.next_fault(self.path)
         if fault == SLOW:
             self.server.released.wait()
             return
@@ -130,12 +136,12 @@ def endpoint(toy_golds, toy_tables):
         assert not any(handler.is_alive() for handler in server.handlers)
 
 
-@pytest.fixture
-def session():
-    # No proxy variable may reroute loopback traffic.
-    with requests.Session() as session:
-        session.trust_env = False
-        yield session
+@pytest.fixture(autouse=True)
+def _no_proxy(monkeypatch):
+    # No proxy variable may reroute loopback traffic unless a test sets one.
+    for name in list(os.environ):
+        if name.lower().endswith("_proxy"):
+            monkeypatch.delenv(name)
 
 
 @pytest.fixture(autouse=True)
@@ -143,10 +149,10 @@ def _api_key(monkeypatch):
     monkeypatch.setenv("SEMCHAIN_TEST_KEY", "k")
 
 
-def _provider(server: _Endpoint, session, sleep=lambda s: None, **overrides) -> sc.HttpProvider:
+def _provider(server: _Endpoint, sleep=lambda s: None, **overrides) -> sc.HttpProvider:
     params = dict(base_url=server.base_url, model_name="toy", api_key_env="SEMCHAIN_TEST_KEY", timeout=10.0)
     params.update(overrides)
-    return sc.HttpProvider(sc.ProviderConfig(**params), session=session, sleep=sleep)
+    return sc.HttpProvider(sc.ProviderConfig(**params), sleep=sleep)
 
 
 def _ask(provider: sc.HttpProvider, toy_tables) -> sc.Completion:
@@ -154,9 +160,9 @@ def _ask(provider: sc.HttpProvider, toy_tables) -> sc.Completion:
     return provider.complete("system", [turn])
 
 
-def test_a_toy_experiment_over_http_scores_as_over_the_mock(endpoint, session, toy_config, tmp_path):
+def test_a_toy_experiment_over_http_scores_as_over_the_mock(endpoint, toy_config, tmp_path):
     server = endpoint()
-    over_http = sc.run_experiment(toy_config(out_dir=tmp_path / "http"), _provider(server, session))
+    over_http = sc.run_experiment(toy_config(out_dir=tmp_path / "http"), _provider(server))
     over_mock = sc.run_experiment(toy_config(out_dir=tmp_path / "mock"))
 
     def scores(report):
@@ -168,58 +174,58 @@ def test_a_toy_experiment_over_http_scores_as_over_the_mock(endpoint, session, t
     assert server.posts == 2 * len({row.source_id for row in over_http.rows})
 
 
-def test_a_429_with_retry_after_zero_waits_zero_seconds(endpoint, session, toy_tables):
+def test_a_429_with_retry_after_zero_waits_zero_seconds(endpoint, toy_tables):
     slept = []
     server = endpoint((429, {"Retry-After": "0"}))
-    completion = _ask(_provider(server, session, sleep=slept.append), toy_tables)
+    completion = _ask(_provider(server, sleep=slept.append), toy_tables)
     assert slept == [0]
     assert server.posts == 2
     assert completion.text == server.script.responses[("artists", STAGE_CHAIN1)]
 
 
-def test_a_429_with_retry_after_a_past_http_date_waits_zero_seconds(endpoint, session, toy_tables):
+def test_a_429_with_retry_after_a_past_http_date_waits_zero_seconds(endpoint, toy_tables):
     slept = []
     server = endpoint((429, {"Retry-After": "Sun, 21 Oct 1990 07:28:00 GMT"}))
-    completion = _ask(_provider(server, session, sleep=slept.append), toy_tables)
+    completion = _ask(_provider(server, sleep=slept.append), toy_tables)
     assert slept == [0]
     assert server.posts == 2
     assert completion.text == server.script.responses[("artists", STAGE_CHAIN1)]
 
 
-def test_a_5xx_on_every_attempt_is_a_provider_error(endpoint, session, toy_tables):
+def test_a_5xx_on_every_attempt_is_a_provider_error(endpoint, toy_tables):
     server = endpoint(*[(500, {})] * 3)
     with pytest.raises(ProviderError, match="HTTP 500: busy"):
-        _ask(_provider(server, session, max_retries=2), toy_tables)
+        _ask(_provider(server, max_retries=2), toy_tables)
     assert server.posts == 3
 
 
-def test_a_reply_slower_than_the_timeout_is_a_timeout_error(endpoint, session, toy_tables):
+def test_a_reply_slower_than_the_timeout_is_a_timeout_error(endpoint, toy_tables):
     server = endpoint(SLOW)
     with pytest.raises(ProviderTimeoutError):
-        _ask(_provider(server, session, max_retries=0, timeout=0.2), toy_tables)
+        _ask(_provider(server, max_retries=0, timeout=0.2), toy_tables)
     assert server.posts == 1
 
 
-def test_a_body_shorter_than_its_content_length_is_a_transport_error(endpoint, session, toy_tables):
+def test_a_body_shorter_than_its_content_length_is_a_transport_error(endpoint, toy_tables):
     server = endpoint(SHORT, SHORT)
-    with pytest.raises(TransportError, match="ChunkedEncodingError"):
-        _ask(_provider(server, session, max_retries=1), toy_tables)
+    with pytest.raises(TransportError, match="IncompleteRead"):
+        _ask(_provider(server, max_retries=1), toy_tables)
     assert server.posts == 2
 
     server = endpoint(SHORT)
-    completion = _ask(_provider(server, session), toy_tables)
+    completion = _ask(_provider(server), toy_tables)
     assert completion.text == server.script.responses[("artists", STAGE_CHAIN1)]
     assert server.posts == 2
 
 
-def test_a_200_whose_body_is_not_json_fails_only_its_source(endpoint, session, toy_config, toy_tables):
+def test_a_200_whose_body_is_not_json_fails_only_its_source(endpoint, toy_config, toy_tables):
     server = endpoint(NOT_JSON)
     with pytest.raises(ProviderError, match="^malformed provider response: "):
-        _ask(_provider(server, session), toy_tables)
+        _ask(_provider(server), toy_tables)
     assert server.posts == 1
 
     server = endpoint(NOT_JSON)
-    report = sc.run_experiment(toy_config(), _provider(server, session))
+    report = sc.run_experiment(toy_config(), _provider(server))
     failed = {row.source_id for row in report.rows if row.error}
     assert len(failed) == 1
     assert all(row.error.startswith("ProviderError: malformed provider response: ") for row in report.rows if row.error)
@@ -228,10 +234,10 @@ def test_a_200_whose_body_is_not_json_fails_only_its_source(endpoint, session, t
     assert server.posts == 2 * len({row.source_id for row in report.rows}) - 1
 
 
-def test_a_reply_holding_a_lone_surrogate_is_written_as_its_escape(endpoint, session, toy_config):
+def test_a_reply_holding_a_lone_surrogate_is_written_as_its_escape(endpoint, toy_config):
     server = endpoint(SURROGATE)
     config = toy_config(max_workers=1)
-    report = sc.run_experiment(config, _provider(server, session))
+    report = sc.run_experiment(config, _provider(server))
     assert not report.has_failures()
     transcripts = {path.parent.name: path.read_bytes() for path in config.out_dir.glob("sources/*/transcript.jsonl")}
     ((sid, raw),) = [(sid, raw) for sid, raw in transcripts.items() if b"\\ud800" in raw]
@@ -243,10 +249,6 @@ def test_a_reply_holding_a_lone_surrogate_is_written_as_its_escape(endpoint, ses
 def test_a_live_ablation_builds_one_provider_and_one_rate_limiter(endpoint, monkeypatch, toy_config, tmp_path):
     from semchain import harness, llm
 
-    # The provider run_ablation builds opens its own session, which no proxy
-    # variable may reroute.
-    for name in ("HTTP_PROXY", "http_proxy", "ALL_PROXY", "all_proxy"):
-        monkeypatch.delenv(name, raising=False)
     built = {"providers": [], "limiters": 0}
 
     class Provider(sc.HttpProvider):
@@ -263,11 +265,7 @@ def test_a_live_ablation_builds_one_provider_and_one_rate_limiter(endpoint, monk
     monkeypatch.setattr(llm, "RateLimiter", Limiter)
     server = endpoint()
     spec = {"kind": "http", "base_url": server.base_url, "model_name": "toy", "api_key_env": "SEMCHAIN_TEST_KEY"}
-    try:
-        over_http = sc.run_ablation(toy_config(out_dir=tmp_path / "http", provider=spec))
-    finally:
-        for provider in built["providers"]:
-            provider._session.close()
+    over_http = sc.run_ablation(toy_config(out_dir=tmp_path / "http", provider=spec))
     over_mock = sc.run_ablation(toy_config(out_dir=tmp_path / "mock"))
     assert (len(built["providers"]), built["limiters"]) == (1, 1)
     assert over_http == over_mock
@@ -277,27 +275,23 @@ def test_a_live_ablation_builds_one_provider_and_one_rate_limiter(endpoint, monk
 def test_a_live_ablation_never_exceeds_requests_per_minute(endpoint, monkeypatch, toy_config, tmp_path):
     from semchain import harness
 
-    for name in ("HTTP_PROXY", "http_proxy", "ALL_PROXY", "all_proxy"):
-        monkeypatch.delenv(name, raising=False)
     # A fake clock that only a wait moves on, and the time of every post.
     now = [0.0]
     posts = []
-    providers = []
 
     def sleep(seconds: float) -> None:
         now[0] += seconds
 
     class Provider(sc.HttpProvider):
-        def __init__(self, config, session=None):
-            super().__init__(config, session, clock=lambda: now[0], sleep=sleep)
-            providers.append(self)
-            post = self._session.post
+        def __init__(self, config, opener=None):
+            super().__init__(config, opener, clock=lambda: now[0], sleep=sleep)
+            send = self._opener.open
 
             def stamped(*args, **kwargs):
                 posts.append(now[0])
-                return post(*args, **kwargs)
+                return send(*args, **kwargs)
 
-            self._session.post = stamped
+            self._opener.open = stamped
 
     monkeypatch.setattr(harness, "HttpProvider", Provider)
     server = endpoint()
@@ -309,12 +303,28 @@ def test_a_live_ablation_never_exceeds_requests_per_minute(endpoint, monkeypatch
         "requests_per_minute": 3,
     }
     # One worker, so each post follows its own grant before the clock moves on.
-    try:
-        rows = sc.run_ablation(toy_config(out_dir=tmp_path / "http", provider=spec, max_workers=1))
-    finally:
-        for provider in providers:
-            provider._session.close()
+    rows = sc.run_ablation(toy_config(out_dir=tmp_path / "http", provider=spec, max_workers=1))
     assert not any(row["has_failures"] for row in rows)
     assert len(posts) == server.posts == 9
     assert posts[-1] >= 120.0
     assert max(sum(start <= t < start + 60.0 for t in posts) for start in posts) <= 3
+
+
+@pytest.mark.parametrize("status", [301, 302, 303, 307, 308])
+def test_a_redirect_is_refused_so_the_key_never_reaches_its_target(endpoint, toy_tables, status):
+    target = endpoint()
+    server = endpoint((status, {"Location": target.base_url + "/chat/completions"}))
+    with pytest.raises(ProviderError, match=f"^HTTP {status}: busy$") as caught:
+        _ask(_provider(server), toy_tables)
+    assert type(caught.value) is ProviderError
+    assert (server.posts, target.posts) == (1, 0)
+
+
+def test_the_proxy_variables_read_when_the_provider_is_built_route_its_requests(endpoint, monkeypatch, toy_tables):
+    proxy = endpoint()
+    monkeypatch.setenv("HTTP_PROXY", f"http://127.0.0.1:{proxy.server_address[1]}")
+    provider = _provider(proxy, base_url="http://provider.invalid/v1")
+    monkeypatch.delenv("HTTP_PROXY")
+    completion = _ask(provider, toy_tables)
+    assert completion.text == proxy.script.responses[("artists", STAGE_CHAIN1)]
+    assert proxy.paths == ["http://provider.invalid/v1/chat/completions"]
